@@ -66,6 +66,7 @@ from .points import (
 )
 from .terms import (
     MAX_EXPONENT,
+    MAX_VARS,
     Term,
     TermSet,
     box_terms,

@@ -17,6 +17,7 @@ at the labels.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     DimensionError,
     EmptyInputError,
     InputError,
+    MembershipError,
 )
 from .terms import Term, TermSet, box_terms, format_term, parse_term
 
@@ -66,7 +68,7 @@ class StarPlacement:
 class BarCode:
     """Immutable bar code; rows, bars and columns are indexed from 1."""
 
-    __slots__ = ("_nvars", "_lengths", "_starts", "_colbar", "_labels")
+    __slots__ = ("_nvars", "_lengths", "_starts", "_colbar", "_labels", "_lookups")
 
     def __init__(self, lengths, labels, _internal=False):
         if not _internal:
@@ -88,6 +90,7 @@ class BarCode:
         self._starts = tuple(starts)
         self._colbar = tuple(colbar)
         self._labels = labels
+        self._lookups = None
 
     @classmethod
     def build(cls, terms: TermSet) -> BarCode:
@@ -183,6 +186,43 @@ class BarCode:
         """Leftmost column label over the given bar."""
         first, _ = self.bar_span(row, bar)
         return self._labels[first - 1]
+
+    def column_of(self, t: Term) -> int:
+        """Column carrying the label t."""
+        try:
+            return self._lookup()[0][t]
+        except KeyError:
+            raise MembershipError(f"{t} is not a column label of the bar code") from None
+
+    def descend(self, row: int, bar: int, bounds: Sequence[int]) -> int | None:
+        """Column reached by walking down from the given bar to row 1, at each
+        lower row l onto the bar over the current one whose x_l-exponent is
+        the largest not above bounds[l-1]; None when no bar qualifies.
+
+        The bars over a bar of row l+1 are the runs of equal x_l-exponent in
+        its columns, which lex order sorts, so each step is two bisections.
+        """
+        first, last = self.bar_span(row, bar)
+        lo, hi = first - 1, last
+        exponents = self._lookup()[1]
+        for low in range(row - 2, -1, -1):
+            exps = exponents[low]
+            c = bisect_right(exps, bounds[low], lo, hi) - 1
+            if c < lo:
+                return None
+            lo, hi = bisect_left(exps, exps[c], lo, c), c + 1
+        return lo + 1
+
+    def _lookup(self):
+        """Indexes built on first use, so building a bar code pays nothing for
+        them: the column of each label, and per variable its exponent in
+        every column."""
+        if self._lookups is None:
+            self._lookups = (
+                {t: col for col, t in enumerate(self._labels, 1)},
+                tuple(zip(*(t.exponents for t in self._labels))),
+            )
+        return self._lookups
 
     def _check_row(self, row: int) -> None:
         if not 1 <= row <= self._nvars:

@@ -92,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "-v", "--verbose", action="store_true", help="extra detail in text output"
         )
-        if name in ("check-complete", "complete"):
-            p.add_argument(
-                "--parallel",
-                action="store_true",
-                help="check completeness obligations concurrently (same output)",
-            )
     return parser
 
 
@@ -210,7 +204,7 @@ def _run(args) -> tuple[str, int]:
         return "\n".join(lines), EXIT_OK
 
     if args.command == "corners":
-        corners = infinite_corners(terms)
+        corners = infinite_corners(terms, nmp_table(terms, bc))
         if args.format == "json":
             doc = {
                 "vars": terms.nvars,
@@ -227,7 +221,7 @@ def _run(args) -> tuple[str, int]:
         )
 
     if args.command == "check-complete":
-        report = is_complete(terms, parallel=getattr(args, "parallel", False))
+        report = is_complete(terms)
         code = EXIT_OK if report.complete else EXIT_INCOMPLETE
         if args.format == "json":
             return json.dumps(_report_json(report), indent=2), code
@@ -237,9 +231,7 @@ def _run(args) -> tuple[str, int]:
         return "\n".join(lines), code
 
     if args.command == "complete":
-        completed, report = complete(
-            terms, parallel=getattr(args, "parallel", False)
-        )
+        completed, report = complete(terms)
         if args.format == "json":
             doc = {
                 "vars": completed.nvars,

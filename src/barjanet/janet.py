@@ -15,7 +15,6 @@ powers, and t Janet-like divides w when w/t is a multiplier.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .barcode import BarCode, star_positions
@@ -93,10 +92,7 @@ def multiplicative_variables(terms: TermSet, t: Term) -> frozenset[int]:
 def multiplicative_variables_from_stars(bc: BarCode, t: Term) -> frozenset[int]:
     """Star reading of the same data: x_i is multiplicative for t exactly
     when the row-i bar under t is followed by a star."""
-    try:
-        col = bc.labels.index(t) + 1
-    except ValueError:
-        raise MembershipError(f"{t} is not a column label of the bar code")
+    col = bc.column_of(t)
     stars = star_positions(bc)
     return frozenset(
         i
@@ -217,11 +213,14 @@ def divisors_for_nm_product(
     bc: BarCode | None = None,
     table: dict[Term, JanetAnnotation] | None = None,
 ) -> tuple[Term, ...]:
-    """Janet-like divisors of t*p located through the bar code.
+    """Janet-like divisors of w = t*p located through the bar code.
 
-    For p = x_i^(k_i) a nonmultiplicative power of t, any divisor must lie
-    over the i-bar next to the one under t; candidates there are kept when
-    they divide t*p with a multiplier quotient.
+    For p = x_i^(k_i) a nonmultiplicative power of t, a divisor s agrees
+    with w on x_i..x_n (else a term agreeing with s above some l carries w_l
+    and s's power at x_l divides w/s), so it lies over the i-bar next to
+    t's. At each lower row l, s's power at x_l is the gap to the next bar
+    over the same parent, so s_l must be the largest bar exponent not above
+    w_l. One descent finds this only candidate; the table confirms it.
     """
     if bc is None:
         bc = BarCode.build(terms)
@@ -230,53 +229,43 @@ def divisors_for_nm_product(
     if t not in table:
         raise MembershipError(f"{t} does not belong to the given set")
     i = p.min_variable()
-    if i is None or p != Term.variable(terms.nvars, i, p.deg(i)):
+    if i is None or len(p.exponents) != terms.nvars or any(p.exponents[i:]):
         raise ValueError(f"{p} is not a pure power")
-    if table[t].nmp.get(i) != p.deg(i):
+    k = p.exponents[i - 1]
+    if table[t].nmp.get(i) != k:
         raise ValueError(f"{p} is not a nonmultiplicative power of {t}")
-    col = bc.labels.index(t) + 1
-    j = bc.bar_of_column(i, col)
-    if j >= bc.mu(i):
-        # a genuine nonmultiplicative power never sits on the last bar
+    w = list(t.exponents)
+    w[i - 1] += k
+    col = bc.descend(i, bc.bar_of_column(i, bc.column_of(t)) + 1, w)
+    if col is None:
         return ()
-    first, last = bc.bar_span(i, j + 1)
-    w = t * p
-    out = []
-    for c in range(first, last + 1):
-        s = bc.labels[c - 1]
-        if s.divides(w) and is_multiplier(terms, s, w / s, table):
-            out.append(s)
-    return tuple(out)
+    s = bc.labels[col - 1]
+    if all(a <= b for a, b in zip(s.exponents, w)) and all(
+        w[v - 1] - s.exponents[v - 1] < gap for v, gap in table[s].nmp.items()
+    ):
+        return (s,)
+    return ()
 
 
-def is_complete(terms: TermSet, parallel: bool = False) -> CompletionReport:
+def is_complete(terms: TermSet) -> CompletionReport:
     """Check every (term, nonmultiplicative power) pair for a divisor of the
     product; the set is complete when all pairs have one."""
     if len(terms) == 0:
         raise EmptyInputError("completeness is defined for nonempty sets")
     bc = BarCode.build(terms)
     table = nmp_table(terms, bc)
-    pairs = [
-        (t, p) for t in terms for p in table[t].powers()
-    ]
-
-    def check(pair):
-        t, p = pair
-        found = divisors_for_nm_product(terms, t, p, bc, table)
-        return Witness(t, p, found[0] if found else None)
-
-    if parallel and len(pairs) > 1:
-        with ThreadPoolExecutor() as pool:
-            witnesses = tuple(pool.map(check, pairs))
-    else:
-        witnesses = tuple(check(pair) for pair in pairs)
+    witnesses = []
+    for t in terms:
+        for p in table[t].powers():
+            found = divisors_for_nm_product(terms, t, p, bc, table)
+            witnesses.append(Witness(t, p, found[0] if found else None))
     return CompletionReport(
         complete=all(w.divisor is not None for w in witnesses),
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
     )
 
 
-def complete(terms: TermSet, parallel: bool = False) -> tuple[TermSet, CompletionReport]:
+def complete(terms: TermSet) -> tuple[TermSet, CompletionReport]:
     """Smallest-step completion: while some term times one of its
     nonmultiplicative powers lacks a divisor, add the lex-least such product
     and rebuild.
@@ -291,7 +280,7 @@ def complete(terms: TermSet, parallel: bool = False) -> tuple[TermSet, Completio
     current = terms
     added: list[Term] = []
     while True:
-        report = is_complete(current, parallel=parallel)
+        report = is_complete(current)
         if report.complete:
             return current, CompletionReport(
                 complete=True,

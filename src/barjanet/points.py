@@ -25,7 +25,7 @@ from .errors import (
     TermSyntaxError,
 )
 from .janet import complete
-from .terms import Term, TermSet, format_term, parse_term
+from .terms import Term, TermSet, format_term, parse_term, parse_vars_header
 
 Point = tuple[Fraction, ...]
 
@@ -66,7 +66,6 @@ class PointSet:
 
 
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
-_VARS_HEADER = re.compile(r"^vars\s*:\s*(\d+)\s*$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -74,7 +73,13 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL.match(s):
         raise TermSyntaxError(f"not an exact rational: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise TermSyntaxError(f"zero denominator: {s}") from None
+    except ValueError:
+        # int() refuses strings of more than sys.get_int_max_str_digits() digits
+        raise TermSyntaxError("rational with too many digits") from None
 
 
 def parse_points(text: str) -> PointSet:
@@ -86,10 +91,10 @@ def parse_points(text: str) -> PointSet:
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        m = _VARS_HEADER.match(body)
-        if m and nvars is None and not rows:
-            nvars = int(m.group(1))
-            continue
+        if nvars is None and not rows:
+            nvars = parse_vars_header(body, line_no)
+            if nvars is not None:
+                continue
         try:
             coords = tuple(parse_rational(c) for c in body.split(","))
         except TermSyntaxError as exc:

@@ -17,6 +17,9 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DimensionError, EmptyInputError, TermSyntaxError
 
 MAX_EXPONENT = 2**31 - 1
+# Every term and every bar code holds one entry per variable, so an input
+# file may declare or imply at most this many variables.
+MAX_VARS = 1024
 
 
 class Term:
@@ -257,9 +260,11 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
             pos += 1
         if start == pos:
             err(f"expected {what}", start)
-        value = int(src[start:pos])
+        digits = src[start:pos]
+        # the helper call is kept off the common path: parsing is hot
+        value = int(digits) if len(digits) < 19 else _bounded_nat(digits, MAX_EXPONENT)
         if value > MAX_EXPONENT:
-            err(f"{what} {value} exceeds the cap {MAX_EXPONENT}", start)
+            err(f"{what} exceeds the cap {MAX_EXPONENT}", start)
         return value
 
     skip_ws()
@@ -329,11 +334,35 @@ _VARS_HEADER = re.compile(r"^vars\s*:\s*(\d+)\s*$")
 _VAR_INDEX = re.compile(r"x\s*(\d+)")
 
 
+def _bounded_nat(digits: str, cap: int) -> int:
+    """Value of a digit string, or cap + 1 above cap. Over 18 significant
+    digits exceed every cap, and int() is never given them: it refuses or
+    slows on very long strings."""
+    if len(digits) > 18:
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > 18:
+            return cap + 1
+    return min(int(digits), cap + 1)
+
+
+def parse_vars_header(body: str, line: int | None = None) -> int | None:
+    """The n of a "vars: n" header line of a term-set or points file, or None
+    when the line is not one; n must lie in 1..MAX_VARS."""
+    m = _VARS_HEADER.match(body)
+    if m is None:
+        return None
+    nvars = _bounded_nat(m.group(1), MAX_VARS)
+    if not 1 <= nvars <= MAX_VARS:
+        raise TermSyntaxError(f"vars must lie in 1..{MAX_VARS}", line=line)
+    return nvars
+
+
 def parse_term_set(text: str) -> TermSet:
     """Parse a term-set file: optional "vars: n" header, one term per line.
 
     Without a header the variable count is inferred from the largest variable
-    index used; exponent-list lines fix it exactly and must agree.
+    index used; exponent-list lines fix it exactly and must agree. Either way
+    it is at most MAX_VARS.
     """
     content: list[tuple[int, str]] = []
     for line_no, raw in enumerate(text.splitlines(), 1):
@@ -343,11 +372,8 @@ def parse_term_set(text: str) -> TermSet:
 
     nvars = None
     if content:
-        m = _VARS_HEADER.match(content[0][1])
-        if m:
-            nvars = int(m.group(1))
-            if nvars < 1:
-                raise TermSyntaxError("vars must be at least 1", line=content[0][0])
+        nvars = parse_vars_header(content[0][1], content[0][0])
+        if nvars is not None:
             content = content[1:]
 
     if nvars is None:
@@ -358,8 +384,10 @@ def parse_term_set(text: str) -> TermSet:
                 list_lengths[line_no] = body.count(",") + 1
             else:
                 for m in _VAR_INDEX.finditer(body):
-                    max_index = max(max_index, int(m.group(1)))
+                    max_index = max(max_index, _bounded_nat(m.group(1), MAX_VARS))
         lengths = set(list_lengths.values())
+        if max(lengths | {max_index}) > MAX_VARS:
+            raise TermSyntaxError(f"more than {MAX_VARS} variables, the limit")
         if len(lengths) > 1:
             raise TermSyntaxError(
                 "exponent lists of different lengths; add a 'vars: n' header"

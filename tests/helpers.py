@@ -55,6 +55,23 @@ def random_order_ideal(
     return divisor_closure(TermSet(nvars, seeds))
 
 
+def grown_order_ideal(rng: random.Random, nvars: int, size: int) -> TermSet:
+    """Order ideal of exactly size terms, grown from 1 by adding a random
+    multiple x_i*t of a member whose one-step divisors are all present."""
+    ideal = {Term.one(nvars)}
+    while len(ideal) < size:
+        exps = list(rng.choice(sorted(ideal)).exponents)
+        exps[rng.randrange(nvars)] += 1
+        u = Term(exps)
+        if all(
+            Term(exps[:i] + [e - 1] + exps[i + 1 :]) in ideal
+            for i, e in enumerate(exps)
+            if e
+        ):
+            ideal.add(u)
+    return TermSet(nvars, ideal)
+
+
 def in_semigroup_ideal(generators: TermSet, w: Term) -> bool:
     return any(g.divides(w) for g in generators)
 

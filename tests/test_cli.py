@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from barjanet import parse_term, parse_term_set
 from barjanet.cli import main
@@ -65,13 +71,6 @@ class TestCheckComplete:
         assert doc["complete"] is False
         missing = [w for w in doc["witnesses"] if w["divisor"] is None]
         assert missing == [{"term": "x2", "power": "x3", "divisor": None}]
-
-    def test_parallel_output_identical(self, tmp_path, capsys):
-        path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
-        assert main(["check-complete", path, "-v"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["check-complete", path, "-v", "--parallel"]) == 0
-        assert capsys.readouterr().out == serial
 
 
 class TestComplete:
@@ -193,6 +192,22 @@ class TestErrorsAndPlumbing:
         path = write(tmp_path, "x.points", "1.5, 2\n")
         assert main(["escalier", path]) == 1
 
+    @pytest.mark.parametrize(
+        "command,content",
+        [
+            ("basis", "vars: 2\n0,0\n1,1/0\n2,1\n"),
+            ("nmp", "vars: 400000\nx1\n"),
+            ("nmp", "x400000\n"),
+        ],
+    )
+    def test_bad_input_one_line_exit_one(self, tmp_path, capsys, command, content):
+        path = write(tmp_path, "bad.txt", content)
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
     def test_output_file(self, tmp_path, capsys):
         path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
         target = tmp_path / "out.txt"
@@ -213,3 +228,23 @@ class TestErrorsAndPlumbing:
             assert main(["render", path, "--format", "json"]) == 0
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
+
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "barjanet", "check-complete", "-"],
+            input=INCOMPLETE_FILE,
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout.splitlines() == [
+            "incomplete",
+            "missing divisor: x2 * x3 = x2*x3",
+        ]

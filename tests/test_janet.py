@@ -21,7 +21,13 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
-from helpers import expanded_box, in_semigroup_ideal, random_term_set
+from helpers import (
+    expanded_box,
+    grown_order_ideal,
+    in_semigroup_ideal,
+    random_term,
+    random_term_set,
+)
 
 
 SIX_TERMS = parse_term_set(
@@ -186,6 +192,32 @@ class TestNextBarLookup:
         with pytest.raises(MembershipError):
             divisors_for_nm_product(SIX_TERMS, g("x2^9"), g("x2"))
 
+    def test_column_map_rejects_non_members(self):
+        bc = BarCode.build(SIX_TERMS)
+        with pytest.raises(MembershipError):
+            multiplicative_variables_from_stars(bc, g("x1"))
+        other = BarCode.build(TermSet(3, [g("x1")]))
+        with pytest.raises(MembershipError):
+            divisors_for_nm_product(SIX_TERMS, g("x1^5"), g("x2"), other)
+
+    def test_witnesses_equal_oracle_in_more_variables(self):
+        rng = random.Random(151)
+        for case in range(30):
+            nvars = rng.randint(5, 6)
+            size = rng.randint(1, 80)
+            if case % 2:
+                ts = grown_order_ideal(rng, nvars, size)
+            else:
+                ts = TermSet(nvars, [random_term(rng, nvars, 3) for _ in range(size)])
+            bc = BarCode.build(ts)
+            table = nmp_table(ts, bc)
+            oracle = nmp_table_bruteforce(ts)
+            for w in is_complete(ts).witnesses:
+                found = divisors_for_nm_product(ts, w.term, w.power, bc, table)
+                assert len(found) <= 1
+                expected = janet_like_divisors(ts, w.term * w.power, oracle)
+                assert (w.divisor,) == (expected or (None,))
+
     def test_equals_scan_on_random_sets(self):
         rng = random.Random(127)
         for _ in range(150):
@@ -213,12 +245,6 @@ class TestCompleteness:
 
     def test_singleton_is_complete(self):
         assert is_complete(TermSet(3, [g("x1^2*x2")])).complete
-
-    def test_parallel_gives_identical_report(self):
-        rng = random.Random(131)
-        for _ in range(20):
-            ts = random_term_set(rng, max_vars=3, max_terms=12, max_exp=3)
-            assert is_complete(ts) == is_complete(ts, parallel=True)
 
 
 class TestCompletion:

@@ -48,6 +48,15 @@ class TestPointSet:
         with pytest.raises(TermSyntaxError):
             parse_rational("1e3")
 
+    @pytest.mark.parametrize("literal", ["1/0", "-3/000", "9" * 5000])
+    def test_unconvertible_literal_rejected(self, literal):
+        with pytest.raises(TermSyntaxError):
+            parse_rational(literal)
+
+    def test_header_over_limit_rejected(self):
+        with pytest.raises(TermSyntaxError):
+            parse_points("vars: 1025\n1, 2\n")
+
     def test_header_mismatch(self):
         with pytest.raises(DimensionError):
             parse_points("vars: 3\n1, 2\n")

@@ -5,6 +5,7 @@ import pytest
 from barjanet import (
     DimensionError,
     MAX_EXPONENT,
+    MAX_VARS,
     Term,
     TermSet,
     TermSyntaxError,
@@ -189,3 +190,27 @@ class TestTermSetParsing:
         with pytest.raises(TermSyntaxError) as info:
             parse_term_set("vars: 2\nx1\nx9\n")
         assert info.value.line == 3
+
+    def test_vars_limit_is_inclusive(self):
+        ts = parse_term_set(f"vars: {MAX_VARS}\nx{MAX_VARS}\n")
+        assert ts.nvars == MAX_VARS
+        assert parse_term_set(f"x{MAX_VARS}\n").nvars == MAX_VARS
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"vars: {MAX_VARS + 1}\nx1\n",
+            "vars: " + "9" * 5000 + "\nx1\n",
+            "vars: 0\nx1\n",
+            f"x1\nx{MAX_VARS + 1}\n",
+            "x" + "9" * 5000 + "\n",
+            "[" + ",".join(["0"] * (MAX_VARS + 1)) + "]\n",
+        ],
+    )
+    def test_vars_over_limit_rejected(self, text):
+        with pytest.raises(TermSyntaxError):
+            parse_term_set(text)
+
+    def test_overlong_exponent_rejected(self):
+        with pytest.raises(TermSyntaxError):
+            parse_term("x1^" + "9" * 5000, 1)
