@@ -96,10 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise TermSyntaxError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def _witness_lines(report: CompletionReport, verbose: bool) -> list[str]:
@@ -159,6 +162,34 @@ def _run(args) -> tuple[str, int]:
     terms = parse_term_set(_read_input(args.input))
     if len(terms) == 0:
         raise EmptyInputError("the input contains no terms")
+    if args.command == "check-complete":
+        report = is_complete(terms)
+        code = EXIT_OK if report.complete else EXIT_INCOMPLETE
+        if args.format == "json":
+            return json.dumps(_report_json(report), indent=2), code
+        lines = ["complete" if report.complete else "incomplete"]
+        if not args.quiet:
+            lines.extend(_witness_lines(report, args.verbose))
+        return "\n".join(lines), code
+
+    if args.command == "complete":
+        completed, report = complete(terms)
+        if args.format == "json":
+            doc = {
+                "vars": completed.nvars,
+                "terms": [format_term(t) for t in completed],
+                "added": [format_term(t) for t in report.added],
+            }
+            return json.dumps(doc, indent=2), EXIT_OK
+        added = set(report.added)
+        lines = []
+        if args.verbose:
+            lines.append(f"# added {len(report.added)} terms")
+        for t in completed:
+            prefix = "+ " if t in added else "  "
+            lines.append((prefix if not args.quiet else "") + format_term(t))
+        return "\n".join(lines), EXIT_OK
+
     bc = BarCode.build(terms)
 
     if args.command == "render":
@@ -219,34 +250,6 @@ def _run(args) -> tuple[str, int]:
             ),
             EXIT_OK,
         )
-
-    if args.command == "check-complete":
-        report = is_complete(terms)
-        code = EXIT_OK if report.complete else EXIT_INCOMPLETE
-        if args.format == "json":
-            return json.dumps(_report_json(report), indent=2), code
-        lines = ["complete" if report.complete else "incomplete"]
-        if not args.quiet:
-            lines.extend(_witness_lines(report, args.verbose))
-        return "\n".join(lines), code
-
-    if args.command == "complete":
-        completed, report = complete(terms)
-        if args.format == "json":
-            doc = {
-                "vars": completed.nvars,
-                "terms": [format_term(t) for t in completed],
-                "added": [format_term(t) for t in report.added],
-            }
-            return json.dumps(doc, indent=2), EXIT_OK
-        added = set(report.added)
-        lines = []
-        if args.verbose:
-            lines.append(f"# added {len(report.added)} terms")
-        for t in completed:
-            prefix = "+ " if t in added else "  "
-            lines.append((prefix if not args.quiet else "") + format_term(t))
-        return "\n".join(lines), EXIT_OK
 
     raise InternalInvariantError(f"unhandled command {args.command}")
 

@@ -13,7 +13,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .barcode import BarCode, star_set
 from .errors import (
@@ -336,39 +336,62 @@ def evaluation_matrix(terms: Sequence[Term], points: PointSet) -> RationalMatrix
     )
 
 
-def groebner_escalier(points: PointSet) -> TermSet:
-    """Lex escalier of the vanishing ideal of the points.
+def escalier_scan(points: PointSet) -> tuple[TermSet, Callable[[Term], Polynomial]]:
+    """Lex escalier of the vanishing ideal of the points, and the map from a
+    term to its interpolant over the escalier (Buchberger-Moeller).
 
     Terms are visited in increasing lex along the divisor-closed frontier; a
     term is kept exactly when its evaluation vector is independent of those
     already kept, and the complement of the kept set is the leading-term
-    ideal. Stops after one term per point.
+    ideal. Stops after one term per point. A queued term's vector is its
+    parent's times a coordinate column. Each echelon row keeps its pivot
+    column, its nonzero entries scaled to 1 there, its pivot value before
+    scaling and the reduction factors it met, so an interpolant costs one
+    reduction and one back-substitution, both O(m^2).
     """
     n = points.nvars
     m = len(points)
+    columns = [[p[i] for p in points] for i in range(n)]
     kept: list[Term] = []
     kept_set: set[Term] = set()
-    echelon: list[tuple[int, list[Fraction]]] = []  # (pivot index, row with 1 there)
+    echelon: list[tuple[int, list[tuple[int, Fraction]], Fraction, list[Fraction]]] = []
 
     def reduce(vec: list[Fraction]) -> list[Fraction]:
-        for pivot, row in echelon:
-            if vec[pivot]:
-                factor = vec[pivot]
-                for c in range(m):
-                    vec[c] -= factor * row[c]
-        return vec
+        factors = []
+        for pivot, row, _, _ in echelon:
+            factor = vec[pivot]
+            if factor:
+                for c, v in row:
+                    vec[c] -= factor * v
+            factors.append(factor)
+        return factors
+
+    def interpolant(t: Term) -> Polynomial:
+        vec = [eval_term(t, p) for p in points]
+        factors = reduce(vec)
+        if any(vec):
+            raise InternalInvariantError(f"{t} is independent of a full escalier")
+        coeffs = [Fraction(0)] * m
+        for k, (_, _, scale, met) in reversed(list(enumerate(echelon))):
+            coeffs[k] = c = factors[k] / scale
+            if c:
+                for j, f in enumerate(met):
+                    factors[j] -= c * f
+        return Polynomial(n, dict(zip(kept, coeffs)))
 
     one = Term.one(n)
     heap: list[tuple[tuple[int, ...], Term]] = [(one._rev, one)]
-    queued = {one}
+    queued = {one: [Fraction(1)] * m}  # term -> its evaluation vector
     while heap and len(kept) < m:
         _, t = heapq.heappop(heap)
-        vec = reduce([eval_term(t, p) for p in points])
+        vec = list(queued[t])
+        factors = reduce(vec)
         pivot = next((c for c in range(m) if vec[c]), None)
         if pivot is None:
             continue
-        inv = 1 / vec[pivot]
-        echelon.append((pivot, [v * inv for v in vec]))
+        scale = vec[pivot]
+        row = [(c, v / scale) for c, v in enumerate(vec) if v]
+        echelon.append((pivot, row, scale, factors))
         kept.append(t)
         kept_set.add(t)
         for i in range(1, n + 1):
@@ -382,12 +405,17 @@ def groebner_escalier(points: PointSet) -> TermSet:
             )
             if divisors_kept:
                 heapq.heappush(heap, (u._rev, u))
-                queued.add(u)
+                queued[u] = [a * b for a, b in zip(queued[t], columns[i - 1])]
     if len(kept) != m:
         raise InternalInvariantError(
             "distinct points must admit one standard monomial per point"
         )
-    return TermSet(n, kept)
+    return TermSet(n, kept), interpolant
+
+
+def groebner_escalier(points: PointSet) -> TermSet:
+    """Lex escalier of the vanishing ideal of the points (see escalier_scan)."""
+    return escalier_scan(points)[0]
 
 
 def monomial_generators(ideal_complement: TermSet) -> TermSet:
@@ -427,13 +455,12 @@ def janet_like_basis(points: PointSet) -> tuple[Polynomial, ...]:
     interpolant of that term over the escalier, so it vanishes on all points
     and its tail is supported on the escalier.
     """
-    escalier = groebner_escalier(points)
+    escalier, interpolant = escalier_scan(points)
     generators = monomial_generators(escalier)
     completed, _ = complete(generators)
     basis = []
     for t in completed.terms:
-        nf = normal_form(Polynomial.from_term(t), escalier, points)
-        g = Polynomial.from_term(t) - nf
+        g = Polynomial.from_term(t) - interpolant(t)
         if g.leading_term != t:
             raise InternalInvariantError(
                 f"interpolant of {t} reaches outside the terms below it"

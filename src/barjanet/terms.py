@@ -256,7 +256,7 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
         nonlocal pos
         skip_ws()
         start = pos
-        while pos < n and src[pos].isdigit():
+        while pos < n and src[pos].isdecimal():
             pos += 1
         if start == pos:
             err(f"expected {what}", start)

@@ -208,6 +208,48 @@ class TestErrorsAndPlumbing:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command,content",
+        [
+            ("nmp", b"\xff\n"),
+            ("check-complete", b"vars: 2\nx1\xa0*x2\n"),
+            ("basis", b"\xff\n"),
+            ("escalier", b"vars: 2\n0,0\n1,\xe9\n"),
+        ],
+    )
+    def test_non_utf8_input_one_line_exit_one(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: input is not UTF-8")
+
+    def test_non_utf8_stdin_exit_one(self, capsys, monkeypatch):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"x1\n\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["nmp", "-"]) == 1
+        assert capsys.readouterr().err.startswith("error: input is not UTF-8")
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ("x1^\u00b2\n", "expected exponent"),
+            ("x\u00b2\n", "expected variable index"),
+            ("[\u00b2,1]\n", "expected exponent"),
+        ],
+    )
+    def test_non_decimal_digit_one_line_exit_one(self, tmp_path, capsys, content, message):
+        path = write(tmp_path, "bad.terms", content)
+        assert main(["nmp", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith(f"error: {message}")
+
     def test_output_file(self, tmp_path, capsys):
         path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
         target = tmp_path / "out.txt"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -22,7 +23,8 @@ from barjanet import (
     parse_points,
     parse_rational,
 )
-from helpers import random_point_set, random_polynomial
+from barjanet.points import escalier_scan
+from helpers import random_point_set, random_polynomial, random_term
 
 
 def t(*exps):
@@ -220,6 +222,48 @@ class TestJanetLikeBasis:
                 assert set(gpoly.support()) <= set(N.terms) | {gpoly.leading_term}
                 for p in X:
                     assert gpoly.evaluate(p) == 0
+
+
+def interpolation_point_sets(rng):
+    """Single points in 1-4 variables, grid sets (points share coordinates),
+    rational sets and 1-variable sets, of at most 12 points."""
+    sets = [
+        PointSet([tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))])
+        for n in range(1, 5)
+    ]
+    for _ in range(8):
+        n, side = rng.randint(2, 4), rng.randint(2, 4)
+        grid = list(itertools.product(range(side), repeat=n))
+        sets.append(PointSet(rng.sample(grid, rng.randint(2, min(12, len(grid))))))
+    for _ in range(8):
+        sets.append(random_point_set(rng, max_points=12, max_vars=4, coord_bound=6))
+    for _ in range(4):
+        sets.append(random_point_set(rng, max_points=12, max_vars=1, coord_bound=9))
+    return sets
+
+
+class TestEscalierInterpolation:
+    """The interpolants of the escalier scan against the solve-based
+    normal_form oracle."""
+
+    def test_basis_tails_equal_normal_forms(self):
+        rng = random.Random(4401)
+        for X in interpolation_point_sets(rng):
+            N = groebner_escalier(X)
+            for g in janet_like_basis(X):
+                lead = Polynomial.from_term(g.leading_term)
+                assert g == lead - normal_form(lead, N, X)
+
+    def test_random_terms_equal_normal_forms(self):
+        rng = random.Random(4402)
+        for X in interpolation_point_sets(rng):
+            N, interpolant = escalier_scan(X)
+            assert N == groebner_escalier(X)
+            outside = {random_term(rng, X.nvars, 4) for _ in range(8)} - set(N)
+            for u in outside:
+                assert interpolant(u) == normal_form(Polynomial.from_term(u), N, X)
+            for u in N:
+                assert interpolant(u) == Polynomial.from_term(u)
 
 
 class TestFormatting:
