@@ -134,10 +134,10 @@ class BarCode:
         if not rows:
             raise EmptyInputError("a bar code needs at least one row")
         _check_structure(rows)
-        bc = cls(rows, None, _internal=True)
         if labels is None:
-            relabeled = cls(rows, canonical_labels(bc), _internal=True)
-            return relabeled
+            bc = cls(rows, None, _internal=True)
+            bc._labels = canonical_labels(bc)
+            return bc
         terms = TermSet(len(rows), labels)
         if len(terms) != len(labels) or len(terms) != len(rows[0]):
             raise InputError("labels must be distinct, one per column")
@@ -271,20 +271,7 @@ def canonical_labels(bc: BarCode) -> tuple[Term, ...]:
     k-th bar (k from 0) above a bar labeled t is labeled t*x_i^k. The result
     per column equals the e-list read as an exponent vector.
     """
-    n = bc.nvars
-    m = bc.ncols
-    exps = [[0] * n for _ in range(m)]
-    for j in range(1, bc.mu(n) + 1):
-        first, last = bc.bar_span(n, j)
-        for col in range(first, last + 1):
-            exps[col - 1][n - 1] = j - 1
-    for i in range(n - 1, 0, -1):
-        for parent in range(1, bc.mu(i + 1) + 1):
-            pfirst, plast = bc.bar_span(i + 1, parent)
-            base = bc.bar_of_column(i, pfirst)
-            for col in range(pfirst, plast + 1):
-                exps[col - 1][i - 1] = bc.bar_of_column(i, col) - base
-    return tuple(Term(e) for e in exps)
+    return tuple(e_list(bc, col).term() for col in range(1, bc.ncols + 1))
 
 
 def e_list(bc: BarCode, col: int) -> EList:

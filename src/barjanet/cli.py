@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse error, 2 dimension or consistency error,
+Exit codes: 0 success, 1 parse or file error, 2 dimension or consistency error,
 3 incomplete set (check-complete only), 4 internal invariant violation.
 All output is deterministic; collections are emitted in lex order.
 """
@@ -20,14 +20,9 @@ from .barcode import (
 )
 from .corners import corner_to_json, infinite_corners
 from .errors import (
-    AdmissibilityError,
     BarjanetError,
-    DimensionError,
     EmptyInputError,
-    InputError,
     InternalInvariantError,
-    MembershipError,
-    SingularMatrixError,
     TermSyntaxError,
 )
 from .janet import CompletionReport, complete, is_complete, nmp_table
@@ -259,33 +254,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         body, code = _run(args)
-    except TermSyntaxError as exc:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(body + "\n")
+        else:
+            print(body)
+    except (TermSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (
-        DimensionError,
-        EmptyInputError,
-        MembershipError,
-        AdmissibilityError,
-        InputError,
-        SingularMatrixError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except BarjanetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(body + "\n")
-    else:
-        print(body)
     return code
 
 

@@ -13,6 +13,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .barcode import BarCode, star_set
@@ -267,24 +268,11 @@ class RationalMatrix:
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionError("determinant of a non-square matrix")
-        a = [list(row) for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for col in range(n):
-            pivot = _pick_pivot(a, col, col)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    factor = a[r][col] * inv
-                    for c in range(col, n):
-                        a[r][c] -= factor * a[col][c]
-        return det
+        try:
+            a, sign = _forward_eliminate([list(row) for row in self.entries])
+        except SingularMatrixError:
+            return Fraction(0)
+        return prod((row[r] for r, row in enumerate(a)), start=Fraction(sign))
 
     def solve(self, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Exact solution of self * x = rhs for a square invertible matrix."""
@@ -293,19 +281,8 @@ class RationalMatrix:
             raise DimensionError("solve needs a square matrix")
         if len(rhs) != n:
             raise DimensionError("right-hand side has the wrong length")
-        a = [list(row) + [Fraction(v)] for row, v in zip(self.entries, rhs)]
-        for col in range(n):
-            pivot = _pick_pivot(a, col, col)
-            if pivot is None:
-                raise SingularMatrixError("the matrix is singular")
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                if a[r][col]:
-                    factor = a[r][col] * inv
-                    for c in range(col, n + 1):
-                        a[r][c] -= factor * a[col][c]
+        augmented = [[*row, Fraction(v)] for row, v in zip(self.entries, rhs)]
+        a, _ = _forward_eliminate(augmented)
         x = [Fraction(0)] * n
         for r in range(n - 1, -1, -1):
             acc = a[r][n]
@@ -315,18 +292,26 @@ class RationalMatrix:
         return tuple(x)
 
 
-def _pick_pivot(a: list[list[Fraction]], col: int, start: int) -> int | None:
-    """Simplest nonzero entry in the column: smallest numerator and
-    denominator sizes, which keeps intermediate fractions small."""
-    best = None
-    best_key = None
-    for r in range(start, len(a)):
-        v = a[r][col]
-        if v:
-            key = (max(abs(v.numerator), v.denominator), abs(v.numerator))
-            if best_key is None or key < best_key:
-                best, best_key = r, key
-    return best
+def _forward_eliminate(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
+    """Upper-triangular form, in place, of the n rows of a over their first n
+    columns, pivoting on the first nonzero entry (exact, so any pivot does).
+    Returns the rows and the sign of the row swaps."""
+    n = len(a)
+    sign = 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise SingularMatrixError("the matrix is singular")
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                factor = a[r][col] * inv
+                for c in range(col, len(a[r])):
+                    a[r][c] -= factor * a[col][c]
+    return a, sign
 
 
 def evaluation_matrix(terms: Sequence[Term], points: PointSet) -> RationalMatrix:

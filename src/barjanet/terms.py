@@ -290,13 +290,10 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
         return Term(exps)
 
     if src[pos] == "1":
-        one_at = pos
         pos += 1
         skip_ws()
         if pos < n:
             err("unexpected text after '1'", pos)
-        if src[one_at + 1 : one_at + 2].isdigit():
-            err("invalid term", one_at)
         return Term.one(nvars)
 
     exps = [0] * nvars

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from barjanet import parse_term, parse_term_set
+from barjanet import cli, errors, parse_term, parse_term_set
 from barjanet.cli import main
 from barjanet.corners import corner_from_json
 from barjanet.barcode import barcode_from_json, BarCode, star_positions
@@ -257,6 +257,15 @@ class TestErrorsAndPlumbing:
         assert capsys.readouterr().out == ""
         assert target.read_text(encoding="utf-8").splitlines()[0] == "x1^5: x2, x3^2"
 
+    def test_unwritable_output_exit_one(self, tmp_path, capsys):
+        path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
+        target = tmp_path / "missing-dir" / "out.txt"
+        assert main(["nmp", path, "--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
 
@@ -290,3 +299,36 @@ class TestErrorsAndPlumbing:
             "incomplete",
             "missing divisor: x2 * x3 = x2*x3",
         ]
+
+
+class TestExitCodeContract:
+    """Every error class ends in its documented exit code, with one stderr
+    line and no stdout."""
+
+    @pytest.mark.parametrize(
+        "error,code,prefix",
+        [
+            (errors.TermSyntaxError, 1, "error: "),
+            (errors.DimensionError, 2, "error: "),
+            (errors.EmptyInputError, 2, "error: "),
+            (errors.MembershipError, 2, "error: "),
+            (errors.AdmissibilityError, 2, "error: "),
+            (errors.InputError, 2, "error: "),
+            (errors.SingularMatrixError, 2, "error: "),
+            (errors.InternalInvariantError, 4, "internal error: "),
+            (errors.CompletionBoundError, 4, "internal error: "),
+            (OSError, 1, "error: "),
+        ],
+    )
+    def test_error_class_maps_to_exit_code(
+        self, tmp_path, capsys, monkeypatch, error, code, prefix
+    ):
+        def raise_error(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_run", raise_error)
+        path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
+        assert main(["nmp", path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prefix}boom\n"

@@ -1,4 +1,4 @@
-"""Fuzzing the parsing commands of the CLI: any input bytes end in an exit
+"""Fuzzing every command of the CLI: any input bytes end in an exit
 code of the contract (0-4), never in an uncaught exception, and an error is
 reported on exactly one stderr line."""
 
@@ -27,7 +27,19 @@ spliced = st.tuples(encoded, st.binary(min_size=1, max_size=4), encoded).map(
     lambda parts: b"".join(parts)
 )
 inputs = st.one_of(encoded, spliced, st.binary(max_size=40))
-commands = st.sampled_from(["nmp", "check-complete", "escalier", "basis"])
+commands = st.sampled_from(
+    [
+        "render",
+        "nmp",
+        "stars",
+        "star-set",
+        "check-complete",
+        "complete",
+        "corners",
+        "escalier",
+        "basis",
+    ]
+)
 
 
 @settings(

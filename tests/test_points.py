@@ -9,6 +9,7 @@ from barjanet import (
     InputError,
     PointSet,
     Polynomial,
+    RationalMatrix,
     SingularMatrixError,
     Term,
     TermSet,
@@ -184,6 +185,72 @@ class TestNormalForm:
             combo = normal_form(f.scale(a) + g.scale(b), N, X)
             assert combo == nf.scale(a) + normal_form(g, N, X).scale(b)
             assert normal_form(nf, N, X) == nf
+
+
+def leibniz_determinant(a):
+    """Sum over permutations p of sign(p) * a[0][p(0)] * ... * a[n-1][p(n-1)]."""
+    n = len(a)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        product = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            product *= a[i][j]
+        total += product
+    return total
+
+
+def random_square_matrices(rng):
+    """Square matrices of size 1-4 with small rational entries, many zeros;
+    every third has a zero leading entry and every third a repeated row
+    multiple, which makes it singular."""
+    for n in range(1, 5):
+        for k in range(30):
+            a = [
+                [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if k % 3 == 1:
+                a[0][0] = F(0)
+            elif k % 3 == 2 and n > 1:
+                c = F(rng.randint(-3, 3), rng.randint(1, 3))
+                a[-1] = [c * v for v in a[0]]
+            yield a
+
+
+class TestRationalMatrix:
+    """The reference elimination against the definitions."""
+
+    def test_determinant_is_leibniz_expansion(self):
+        swapped = singular = 0
+        for a in random_square_matrices(random.Random(331)):
+            expected = leibniz_determinant(a)
+            assert RationalMatrix(tuple(map(tuple, a))).determinant() == expected
+            swapped += a[0][0] == 0 and expected != 0
+            singular += expected == 0
+        assert swapped >= 10 and singular >= 10
+
+    def test_solve_satisfies_the_system(self):
+        rng = random.Random(337)
+        for a in random_square_matrices(rng):
+            m = RationalMatrix(tuple(map(tuple, a)))
+            b = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in a]
+            if leibniz_determinant(a) == 0:
+                with pytest.raises(SingularMatrixError):
+                    m.solve(b)
+                continue
+            x = m.solve(b)
+            assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+
+    def test_shape_errors(self):
+        wide = RationalMatrix(((F(1), F(2), F(3)), (F(4), F(5), F(6))))
+        with pytest.raises(DimensionError):
+            wide.determinant()
+        with pytest.raises(DimensionError):
+            wide.solve([F(1), F(2)])
+        square = RationalMatrix(((F(1), F(2)), (F(3), F(4))))
+        with pytest.raises(DimensionError):
+            square.solve([F(1), F(2), F(3)])
 
 
 class TestJanetLikeBasis:

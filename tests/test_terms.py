@@ -144,6 +144,16 @@ class TestParseFormat:
         with pytest.raises(TermSyntaxError):
             parse_term("1*x2", 3)
 
+    @pytest.mark.parametrize(
+        "text,column",
+        [("12", 2), ("1 2", 3), ("10", 2), ("1x1", 2), ("1*x1", 2), ("1]", 2)],
+    )
+    def test_text_after_unit(self, text, column):
+        with pytest.raises(TermSyntaxError) as info:
+            parse_term(text, 2)
+        assert str(info.value) == f"unexpected text after '1' (column {column})"
+        assert info.value.position == column - 1
+
 
 class TestTermSet:
     def test_sorted_and_deduplicated(self):
