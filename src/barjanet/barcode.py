@@ -203,15 +203,8 @@ class BarCode:
         its columns, which lex order sorts, so each step is two bisections.
         """
         first, last = self.bar_span(row, bar)
-        lo, hi = first - 1, last
-        exponents = self._lookup()[1]
-        for low in range(row - 2, -1, -1):
-            exps = exponents[low]
-            c = bisect_right(exps, bounds[low], lo, hi) - 1
-            if c < lo:
-                return None
-            lo, hi = bisect_left(exps, exps[c], lo, c), c + 1
-        return lo + 1
+        col = descend_columns(self._lookup()[1], first - 1, last, row, bounds)
+        return None if col is None else col + 1
 
     def _lookup(self):
         """Indexes built on first use, so building a bar code pays nothing for
@@ -239,6 +232,20 @@ class BarCode:
 
     def __repr__(self) -> str:
         return f"BarCode(vars={self._nvars}, cols={self.ncols})"
+
+
+def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int | None:
+    """BarCode.descend on raw lex-sorted columns: exponents[v] holds each
+    column's x_(v+1)-exponent and the 0-based columns lo..hi-1 form a bar of
+    the given row (row n+1 over every column starts above the whole set).
+    Returns the first 0-based column reached, or None."""
+    for low in range(row - 2, -1, -1):
+        exps = exponents[low]
+        c = bisect_right(exps, bounds[low], lo, hi) - 1
+        if c < lo:
+            return None
+        lo, hi = bisect_left(exps, exps[c], lo, c), c + 1
+    return lo
 
 
 def _check_structure(rows: tuple[tuple[int, ...], ...]) -> None:

@@ -11,13 +11,19 @@ nonmultiplicative for t, the minimal positive gap k_i in the i-exponent among
 the agreeing terms makes x_i^(k_i) a nonmultiplicative power of t; a
 multiplier for t is any term divisible by none of t's nonmultiplicative
 powers, and t Janet-like divides w when w/t is a multiplier.
+
+complete() keeps one live state across its rounds and re-checks only the
+obligations an added term can change; the round-by-round rebuild it replaces
+is its oracle in tests/helpers.py (complete_by_rebuild).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
-from .barcode import BarCode, star_positions
+from .barcode import BarCode, descend_columns, star_positions
 from .errors import (
     CompletionBoundError,
     EmptyInputError,
@@ -240,11 +246,15 @@ def divisors_for_nm_product(
     if col is None:
         return ()
     s = bc.labels[col - 1]
-    if all(a <= b for a, b in zip(s.exponents, w)) and all(
-        w[v - 1] - s.exponents[v - 1] < gap for v, gap in table[s].nmp.items()
-    ):
-        return (s,)
-    return ()
+    return (s,) if _janet_like_divides(s, table[s].nmp, w) else ()
+
+
+def _janet_like_divides(s: Term, nmp: dict[int, int], w) -> bool:
+    """True when s divides the exponent vector w and none of s's
+    nonmultiplicative powers nmp divides w/s."""
+    return all(a <= b for a, b in zip(s.exponents, w)) and all(
+        w[v - 1] - s.exponents[v - 1] < gap for v, gap in nmp.items()
+    )
 
 
 def is_complete(terms: TermSet) -> CompletionReport:
@@ -267,8 +277,12 @@ def is_complete(terms: TermSet) -> CompletionReport:
 
 def complete(terms: TermSet) -> tuple[TermSet, CompletionReport]:
     """Smallest-step completion: while some term times one of its
-    nonmultiplicative powers lacks a divisor, add the lex-least such product
-    and rebuild.
+    nonmultiplicative powers lacks a divisor, add the lex-least such product.
+
+    Each added term updates one live state in place (_LiveCompletion), which
+    re-checks only the obligations the term can change, so the added order
+    and the result are those of rebuilding after every term. The report is a
+    fresh is_complete of the result, and the live state must agree with it.
 
     Every candidate u*x_i^(k_i) matches the i-exponent of an existing term
     and copies u elsewhere, so candidates stay inside the bounding box of the
@@ -277,27 +291,136 @@ def complete(terms: TermSet) -> tuple[TermSet, CompletionReport]:
     if len(terms) == 0:
         raise EmptyInputError("completeness is defined for nonempty sets")
     box = terms.bounding_box()
-    current = terms
+    live = _LiveCompletion(terms)
     added: list[Term] = []
-    while True:
-        report = is_complete(current)
-        if report.complete:
-            return current, CompletionReport(
-                complete=True,
-                witnesses=report.witnesses,
-                added=tuple(added),
-            )
-        candidate = min(w.term * w.power for w in report.failing())
+    while (candidate := live.next_failing()) is not None:
         if any(e > b for e, b in zip(candidate.exponents, box)):
             raise CompletionBoundError(
                 f"completion candidate {candidate} escapes the bounding box {box}"
             )
-        if candidate in current:
+        if candidate in live.nmp:
             raise InternalInvariantError(
                 f"{candidate} is already present yet reported without a divisor"
             )
         added.append(candidate)
-        current = current.with_terms([candidate])
+        live.add(candidate)
+    current = TermSet(terms.nvars, live.columns)
+    report = is_complete(current)
+    if not report.complete or report.witnesses != live.witnesses():
+        raise InternalInvariantError(
+            "incremental completion disagrees with a fresh check of its result"
+        )
+    return current, CompletionReport(True, report.witnesses, tuple(added))
+
+
+class _LiveCompletion:
+    """A term set under completion, updated in place one term at a time.
+
+    columns holds the set in lex order and exponents[v] each column's
+    x_(v+1)-exponent, as a bar code does; nmp maps each term to its powers
+    {i: k_i}. Obligation (t, i) keeps its product w = t*x_i^(k_i) as a
+    tuple, the candidate its descent reaches and whether that candidate
+    Janet-like divides w. Failing ones wait on a heap in lex order of w;
+    entries whose obligation has changed since are skipped.
+
+    The verdict of (t, i) depends only on k_i, on the columns agreeing with
+    w on x_i..x_n (the descent's start) and on the candidate s's powers at
+    x_l for l < i, since s agrees with w on x_i..x_n. Adding c changes
+    x_l-powers only of terms agreeing with c on x_(l+1)..x_n, so a change to
+    s's makes c agree with w on x_i..x_n. Re-checking the obligations whose
+    power changed, those of c and those whose w agrees with c on x_i..x_n
+    (by_bar) is therefore enough.
+    """
+
+    def __init__(self, terms: TermSet):
+        self.columns: list[Term] = []
+        self.exponents: list[list[int]] = [[] for _ in range(terms.nvars)]
+        self.nmp: dict[Term, dict[int, int]] = {}
+        self.checked: dict[tuple[Term, int], tuple[tuple[int, ...], Term | None, bool]] = {}
+        self.by_bar: dict[tuple[int, tuple[int, ...]], set[tuple[Term, int]]] = {}
+        self.failing: list = []
+        for t in terms:
+            self._insert(t)
+        for t in self.columns:
+            for i in self.nmp[t]:
+                self._check(t, i)
+
+    def add(self, c: Term) -> None:
+        changed = self._insert(c)
+        dirty = {(c, i) for i in self.nmp[c]}
+        dirty.update(changed)
+        for i in range(1, len(c.exponents) + 1):
+            dirty.update(self.by_bar.get((i, c.exponents[i - 1 :]), ()))
+        for t, i in dirty:
+            self._check(t, i)
+
+    def next_failing(self) -> Term | None:
+        """The lex-least product of a failing obligation, None when all hold."""
+        heap = self.failing
+        while heap:
+            rev, i, t = heap[0]
+            w, _, ok = self.checked[(t, i)]
+            if not ok and w[::-1] == rev:
+                return Term(w)
+            heappop(heap)
+        return None
+
+    def witnesses(self) -> tuple[Witness, ...]:
+        """The obligations in is_complete's order: terms in lex, powers by
+        variable."""
+        out = []
+        for t in self.columns:
+            for i, k in sorted(self.nmp[t].items()):
+                _, s, ok = self.checked[(t, i)]
+                out.append(Witness(t, Term.variable(t.nvars, i, k), s if ok else None))
+        return tuple(out)
+
+    def _insert(self, c: Term) -> list[tuple[Term, int]]:
+        """Place c among the columns and set its powers; return the (u, i)
+        whose x_i-power c changed.
+
+        Going down from x_n, [lo, hi) are the columns agreeing with c above
+        x_i, sorted by x_i. Only a new x_i-value there changes a power: the
+        terms with the next smaller value now have their gap up to c_i.
+        """
+        changed = []
+        own = {}
+        lo, hi = 0, len(self.columns)
+        for v in range(len(c.exponents) - 1, -1, -1):
+            exps = self.exponents[v]
+            e = c.exponents[v]
+            a = bisect_left(exps, e, lo, hi)
+            b = bisect_right(exps, e, a, hi)
+            if b < hi:
+                own[v + 1] = exps[b] - e
+            if a == b and a > lo:
+                below = exps[a - 1]
+                for u in self.columns[bisect_left(exps, below, lo, a) : a]:
+                    self.nmp[u][v + 1] = e - below
+                    changed.append((u, v + 1))
+            lo, hi = a, b
+        self.columns.insert(lo, c)
+        for exps, e in zip(self.exponents, c.exponents):
+            exps.insert(lo, e)
+        self.nmp[c] = own
+        return changed
+
+    def _check(self, t: Term, i: int) -> None:
+        """Descend for obligation (t, i) afresh and queue it if it fails."""
+        key = (t, i)
+        old = self.checked.get(key)
+        if old is not None:
+            self.by_bar[(i, old[0][i - 1 :])].discard(key)
+        exps = list(t.exponents)
+        exps[i - 1] += self.nmp[t][i]
+        w = tuple(exps)
+        col = descend_columns(self.exponents, 0, len(self.columns), len(w) + 1, w)
+        s = None if col is None else self.columns[col]
+        ok = s is not None and _janet_like_divides(s, self.nmp[s], w)
+        self.checked[key] = (w, s, ok)
+        self.by_bar.setdefault((i, w[i - 1 :]), set()).add(key)
+        if not ok:
+            heappush(self.failing, (w[::-1], i, t))
 
 
 def janet_implies_janet_like(terms: TermSet, w: Term) -> bool:

@@ -6,7 +6,17 @@ import itertools
 import random
 from fractions import Fraction
 
-from barjanet import PointSet, Term, TermSet, box_terms
+from barjanet import (
+    CompletionBoundError,
+    CompletionReport,
+    EmptyInputError,
+    InternalInvariantError,
+    PointSet,
+    Term,
+    TermSet,
+    box_terms,
+    is_complete,
+)
 
 
 def random_term(rng: random.Random, nvars: int, max_exp: int) -> Term:
@@ -120,3 +130,33 @@ def all_terms_up_to_degree(nvars: int, max_total: int, cap: int) -> list[Term]:
         if sum(exps) <= max_total:
             out.append(Term(exps))
     return out
+
+
+def complete_by_rebuild(terms: TermSet) -> tuple[TermSet, CompletionReport]:
+    """Reference completion: check every obligation from scratch, add the
+    lex-least failing product, rebuild, repeat. complete() must return the
+    same set, added order and witnesses."""
+    if len(terms) == 0:
+        raise EmptyInputError("completeness is defined for nonempty sets")
+    box = terms.bounding_box()
+    current = terms
+    added: list[Term] = []
+    while True:
+        report = is_complete(current)
+        if report.complete:
+            return current, CompletionReport(
+                complete=True,
+                witnesses=report.witnesses,
+                added=tuple(added),
+            )
+        candidate = min(w.term * w.power for w in report.failing())
+        if any(e > b for e, b in zip(candidate.exponents, box)):
+            raise CompletionBoundError(
+                f"completion candidate {candidate} escapes the bounding box {box}"
+            )
+        if candidate in current:
+            raise InternalInvariantError(
+                f"{candidate} is already present yet reported without a divisor"
+            )
+        added.append(candidate)
+        current = current.with_terms([candidate])

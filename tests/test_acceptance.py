@@ -39,6 +39,7 @@ from helpers import (
     in_semigroup_ideal,
     random_point_set,
     random_polynomial,
+    random_term,
     random_term_set,
 )
 
@@ -207,15 +208,24 @@ def test_criterion_08_janet_cones():
     print("\nACCEPTANCE 8 (Janet cone disjointness, Janet implies Janet-like): PASS")
 
 
+def _completion_corpus():
+    rng = random.Random(20240904)
+    for _ in range(200):
+        yield random_term_set(rng, max_vars=3, max_terms=10, max_exp=3)
+    rng = random.Random(20240906)
+    for _ in range(150):
+        yield TermSet(4, [random_term(rng, 4, 3) for _ in range(rng.randint(1, 10))])
+
+
 def test_criterion_09_completion_soundness():
     fixed = parse_term_set("vars: 3\nx2\nx1*x3\n")
     done, report = complete(fixed)
     assert report.added == (g("x2*x3"),)
     assert done == fixed.with_terms([g("x2*x3")])
 
-    rng = random.Random(20240904)
-    for _ in range(200):
-        ts = random_term_set(rng, max_vars=3, max_terms=10, max_exp=3)
+    checked = 0
+    start = time.perf_counter()
+    for ts in _completion_corpus():
         done, _ = complete(ts)
         table = nmp_table_bruteforce(done)
         for t in done:
@@ -227,7 +237,12 @@ def test_criterion_09_completion_soundness():
             assert all(e <= b for e, b in zip(t.exponents, box))
         for w in expanded_box(ts, margin=1):
             assert in_semigroup_ideal(ts, w) == in_semigroup_ideal(done, w)
-    print("\nACCEPTANCE 9 (completion soundness on 200 sets plus fixed case): PASS")
+        checked += 1
+    elapsed = time.perf_counter() - start
+    print(
+        f"\nACCEPTANCE 9 (completion soundness on {checked} sets in up to 4"
+        f" variables plus fixed case, {elapsed:.2f}s): PASS"
+    )
 
 
 def test_criterion_10_points_pipeline():

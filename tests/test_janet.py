@@ -1,19 +1,25 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from barjanet import (
     BarCode,
     MembershipError,
+    PointSet,
     Term,
     TermSet,
     complete,
     divisors_for_nm_product,
+    groebner_escalier,
     is_complete,
     is_multiplier,
     janet_divisor,
     janet_implies_janet_like,
+    janet_like_basis,
     janet_like_divisors,
+    monomial_generators,
     multiplicative_variables,
     multiplicative_variables_from_stars,
     nmp_table,
@@ -22,6 +28,7 @@ from barjanet import (
     parse_term_set,
 )
 from helpers import (
+    complete_by_rebuild,
     expanded_box,
     grown_order_ideal,
     in_semigroup_ideal,
@@ -292,3 +299,76 @@ class TestCompletion:
             ts = random_term_set(rng, max_vars=3, max_terms=10, max_exp=3)
             for w in expanded_box(ts, margin=1)[:200]:
                 janet_divisor(ts, w)  # raises if more than one candidate
+
+
+class TestIncrementalCompletion:
+    """complete() updates one live state per added term; the round-by-round
+    rebuild in helpers is the oracle for its set, added order and report."""
+
+    # largest random input per variable count: completions in many
+    # variables grow by hundreds of terms, and the oracle rebuilds per term
+    MAX_TERMS = {1: 12, 2: 12, 3: 10, 4: 8, 5: 6, 6: 4}
+
+    @staticmethod
+    def assert_same_as_oracle(ts):
+        done, report = complete(ts)
+        expected_done, expected = complete_by_rebuild(ts)
+        assert done == expected_done
+        assert report.added == expected.added
+        assert report.witnesses == expected.witnesses
+        assert report.complete
+
+    @pytest.mark.parametrize("max_exp", [3, 12, 1000])
+    def test_random_sets_equal_oracle(self, max_exp):
+        rng = random.Random(157 + max_exp)
+        for nvars, cap in self.MAX_TERMS.items():
+            for _ in range(8):
+                size = rng.randint(1, cap)
+                ts = TermSet(nvars, [random_term(rng, nvars, max_exp) for _ in range(size)])
+                self.assert_same_as_oracle(ts)
+
+    def test_order_ideals_equal_oracle(self):
+        # order ideals come out complete; their complements' generators,
+        # which the points route completes, and random halves do not
+        rng = random.Random(163)
+        for _ in range(30):
+            nvars = rng.randint(1, 6)
+            ideal = grown_order_ideal(rng, nvars, rng.randint(1, 40))
+            self.assert_same_as_oracle(ideal)
+            self.assert_same_as_oracle(monomial_generators(ideal))
+            half = [t for t in ideal if rng.random() < 0.5]
+            if half:
+                self.assert_same_as_oracle(TermSet(nvars, half))
+
+    def test_complete_inputs_and_singletons(self):
+        rng = random.Random(167)
+        self.assert_same_as_oracle(SIX_TERMS)
+        for _ in range(30):
+            nvars = rng.randint(1, 5)
+            self.assert_same_as_oracle(TermSet(nvars, [random_term(rng, nvars, 20)]))
+            ts = random_term_set(rng, max_vars=4, max_terms=8, max_exp=6)
+            done, _ = complete(ts)
+            self.assert_same_as_oracle(done)
+
+    def test_report_is_a_fresh_check(self):
+        rng = random.Random(173)
+        for _ in range(60):
+            ts = random_term_set(rng, max_vars=4, max_terms=12, max_exp=8)
+            done, report = complete(ts)
+            assert report.witnesses == is_complete(done).witnesses
+            again, report2 = complete(done)
+            assert again == done and report2.added == ()
+
+    def test_points_route_leading_terms_complete(self):
+        # subsets of a small grid share coordinates, so their generators
+        # often need completion; generic rational points rarely do
+        rng = random.Random(179)
+        for _ in range(25):
+            nvars = rng.randint(2, 4)
+            grid = list(itertools.product(range(3), repeat=nvars))
+            chosen = rng.sample(grid, rng.randint(1, min(len(grid), 14)))
+            X = PointSet(sorted(tuple(map(Fraction, p)) for p in chosen))
+            leads = TermSet(nvars, [g.leading_term for g in janet_like_basis(X)])
+            assert is_complete(leads).complete
+            generators = monomial_generators(groebner_escalier(X))
+            assert leads == complete_by_rebuild(generators)[0]
