@@ -1,10 +1,11 @@
 """From rational points to a reduced Janet-like basis, with no Groebner step.
 
 Pipeline: the lex escalier of the vanishing ideal of the points is found by a
-greedy scan keeping terms whose evaluation vectors are independent; its
-complement's minimal generators are completed Janet-like; each completed
-generator t yields the basis element t minus its interpolant over the
-escalier. All arithmetic is exact over the rationals.
+greedy scan keeping terms whose evaluation vectors, rescaled to integers, are
+independent; its complement's minimal generators are completed Janet-like;
+each completed generator t yields the basis element t minus its interpolant
+over the escalier. Results are exact; normal_form, over Fraction, is the
+reference the scan's interpolants are tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .barcode import BarCode, star_set
@@ -137,11 +138,11 @@ class Polynomial:
         for t, c in items:
             if t.nvars != nvars:
                 raise DimensionError(f"term {t} has {t.nvars} variables, expected {nvars}")
-            c = Fraction(c)
+            c = c if type(c) is Fraction else Fraction(c)
+            if t in coeffs:
+                c += coeffs.pop(t)
             if c:
-                coeffs[t] = coeffs.get(t, Fraction(0)) + c
-                if not coeffs[t]:
-                    del coeffs[t]
+                coeffs[t] = c
         self.nvars = nvars
         self.coefficients = coeffs
 
@@ -187,9 +188,7 @@ class Polynomial:
     def __add__(self, other: Polynomial) -> Polynomial:
         if self.nvars != other.nvars:
             raise DimensionError("polynomials live in different rings")
-        merged = dict(self.coefficients)
-        for t, c in other.coefficients.items():
-            merged[t] = merged.get(t, Fraction(0)) + c
+        merged = [*self.coefficients.items(), *other.coefficients.items()]
         return Polynomial(self.nvars, merged)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
@@ -328,73 +327,72 @@ def escalier_scan(points: PointSet) -> tuple[TermSet, Callable[[Term], Polynomia
     Terms are visited in increasing lex along the divisor-closed frontier; a
     term is kept exactly when its evaluation vector is independent of those
     already kept, and the complement of the kept set is the leading-term
-    ideal. Stops after one term per point. A queued term's vector is its
-    parent's times a coordinate column. Each echelon row keeps its pivot
-    column, its nonzero entries scaled to 1 there, its pivot value before
-    scaling and the reduction factors it met, so an interpolant costs one
-    reduction and one back-substitution, both O(m^2).
+    ideal. Stops after one term per point. Column i of the points is scaled
+    by the lcm d_i of its denominators, which keeps ranks: a term s then
+    evaluates to d^s times its value. Each vector carries the combination of
+    kept-term vectors it equals (its own term's at m + number kept) and is
+    reduced by v <- a*v - b*row, without fractions; a kept row is divided by
+    its content. A term t reduced to 0, as k*t + sum k_s*s = 0, has the
+    interpolant coefficients -k_s*d^s / (k*d^t), the only Fractions formed.
     """
     n = points.nvars
     m = len(points)
-    columns = [[p[i] for p in points] for i in range(n)]
+    scales = [lcm(*(p[i].denominator for p in points)) for i in range(n)]
+    scaled = [tuple(int(c * d) for c, d in zip(p, scales)) for p in points]
     kept: list[Term] = []
-    kept_set: set[Term] = set()
-    echelon: list[tuple[int, list[tuple[int, Fraction]], Fraction, list[Fraction]]] = []
+    kept_exponents: set[tuple[int, ...]] = set()
+    echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
 
-    def reduce(vec: list[Fraction]) -> list[Fraction]:
-        factors = []
-        for pivot, row, _, _ in echelon:
-            factor = vec[pivot]
-            if factor:
-                for c, v in row:
-                    vec[c] -= factor * v
-            factors.append(factor)
-        return factors
+    def reduce(values: list[int]) -> list[int]:
+        vec = values + [0] * (m + 1)
+        vec[m + len(kept)] = 1
+        for pivot, row in echelon:
+            f = vec[pivot]
+            if f:
+                g = gcd(row[pivot], f)
+                a, b = row[pivot] // g, f // g
+                vec = [a * x - b * y for x, y in zip(vec, row)]
+        return vec
 
     def interpolant(t: Term) -> Polynomial:
-        vec = [eval_term(t, p) for p in points]
-        factors = reduce(vec)
-        if any(vec):
+        if t.nvars != n:
+            raise DimensionError("point dimension does not match the term")
+        exps = t.exponents
+        vec = reduce([prod(c**e for c, e in zip(p, exps) if e) for p in scaled])
+        if any(vec[:m]):
             raise InternalInvariantError(f"{t} is independent of a full escalier")
-        coeffs = [Fraction(0)] * m
-        for k, (_, _, scale, met) in reversed(list(enumerate(echelon))):
-            coeffs[k] = c = factors[k] / scale
-            if c:
-                for j, f in enumerate(met):
-                    factors[j] -= c * f
-        return Polynomial(n, dict(zip(kept, coeffs)))
+        denominator = -vec[-1] * prod(d**e for d, e in zip(scales, exps) if e)
+        coefficients = (Fraction(k * w, denominator) for w, k in zip(weights, vec[m:]))
+        return Polynomial(n, zip(kept, coefficients))
 
     one = Term.one(n)
     heap: list[tuple[tuple[int, ...], Term]] = [(one._rev, one)]
-    queued = {one: [Fraction(1)] * m}  # term -> its evaluation vector
+    queued = {one.exponents: [1] * m}  # exponents -> scaled evaluation vector
     while heap and len(kept) < m:
         _, t = heapq.heappop(heap)
-        vec = list(queued[t])
-        factors = reduce(vec)
+        e = t.exponents
+        vec = reduce(queued[e])
         pivot = next((c for c in range(m) if vec[c]), None)
         if pivot is None:
             continue
-        scale = vec[pivot]
-        row = [(c, v / scale) for c, v in enumerate(vec) if v]
-        echelon.append((pivot, row, scale, factors))
+        g = gcd(*vec)
+        echelon.append((pivot, [x // g for x in vec]))
         kept.append(t)
-        kept_set.add(t)
-        for i in range(1, n + 1):
-            u = t * Term.variable(n, i)
-            if u in queued:
-                continue
-            divisors_kept = all(
-                u / Term.variable(n, j) in kept_set
-                for j in range(1, n + 1)
-                if u.deg(j)
-            )
-            if divisors_kept:
-                heapq.heappush(heap, (u._rev, u))
-                queued[u] = [a * b for a, b in zip(queued[t], columns[i - 1])]
+        kept_exponents.add(e)
+        for i in range(n):
+            u = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            if u not in queued and all(
+                u[:j] + (x - 1,) + u[j + 1 :] in kept_exponents
+                for j, x in enumerate(u)
+                if x
+            ):
+                heapq.heappush(heap, (u[::-1], Term(u)))
+                queued[u] = [a * p[i] for a, p in zip(queued[e], scaled)]
     if len(kept) != m:
         raise InternalInvariantError(
             "distinct points must admit one standard monomial per point"
         )
+    weights = [prod(d**e for d, e in zip(scales, s.exponents) if e) for s in kept]
     return TermSet(n, kept), interpolant
 
 
@@ -445,7 +443,8 @@ def janet_like_basis(points: PointSet) -> tuple[Polynomial, ...]:
     completed, _ = complete(generators)
     basis = []
     for t in completed.terms:
-        g = Polynomial.from_term(t) - interpolant(t)
+        tail = interpolant(t).coefficients.items()
+        g = Polynomial(points.nvars, [(t, 1), *((s, -c) for s, c in tail)])
         if g.leading_term != t:
             raise InternalInvariantError(
                 f"interpolant of {t} reaches outside the terms below it"

@@ -25,7 +25,7 @@ MAX_VARS = 1024
 class Term:
     """A monomial x1^g1 * ... * xn^gn, immutable, ordered by lex."""
 
-    __slots__ = ("exponents", "_rev")
+    __slots__ = ("exponents", "_rev", "_hash")
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(exponents)
@@ -40,6 +40,7 @@ class Term:
                 raise ValueError(f"exponent {e} exceeds the cap {MAX_EXPONENT}")
         self.exponents = exps
         self._rev = exps[::-1]
+        self._hash = hash(exps)
 
     @classmethod
     def one(cls, nvars: int) -> Term:
@@ -112,7 +113,7 @@ class Term:
         return isinstance(other, Term) and self.exponents == other.exponents
 
     def __hash__(self) -> int:
-        return hash(self.exponents)
+        return self._hash
 
     def __lt__(self, other: Term) -> bool:
         return lex_compare(self, other) < 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -12,11 +13,15 @@ from barjanet import (
     EmptyInputError,
     InternalInvariantError,
     PointSet,
+    Polynomial,
     Term,
     TermSet,
     box_terms,
+    complete,
     is_complete,
+    monomial_generators,
 )
+from barjanet.points import eval_term
 
 
 def random_term(rng: random.Random, nvars: int, max_exp: int) -> Term:
@@ -114,8 +119,6 @@ def random_point_set(
 
 
 def random_polynomial(rng: random.Random, nvars: int, max_exp: int = 3):
-    from barjanet import Polynomial
-
     size = rng.randint(0, 5)
     coeffs = {}
     for _ in range(size):
@@ -160,3 +163,91 @@ def complete_by_rebuild(terms: TermSet) -> tuple[TermSet, CompletionReport]:
             )
         added.append(candidate)
         current = current.with_terms([candidate])
+
+
+def escalier_scan_by_fractions(points: PointSet):
+    """Reference escalier scan over Fraction: the lex escalier of the
+    vanishing ideal of the points and the map from a term to its interpolant
+    (Buchberger-Moeller). The integer scan of barjanet.points must give the
+    same escalier and equal interpolants.
+
+    Terms are visited in increasing lex along the divisor-closed frontier; a
+    term is kept exactly when its evaluation vector is independent of those
+    already kept, and the complement of the kept set is the leading-term
+    ideal. Stops after one term per point. A queued term's vector is its
+    parent's times a coordinate column. Each echelon row keeps its pivot
+    column, its nonzero entries scaled to 1 there, its pivot value before
+    scaling and the reduction factors it met, so an interpolant costs one
+    reduction and one back-substitution, both O(m^2).
+    """
+    n = points.nvars
+    m = len(points)
+    columns = [[p[i] for p in points] for i in range(n)]
+    kept: list[Term] = []
+    kept_set: set[Term] = set()
+    echelon = []  # (pivot, row scaled to 1 at pivot, pivot value, factors met)
+
+    def reduce(vec):
+        factors = []
+        for pivot, row, _, _ in echelon:
+            factor = vec[pivot]
+            if factor:
+                for c, v in row:
+                    vec[c] -= factor * v
+            factors.append(factor)
+        return factors
+
+    def interpolant(t):
+        vec = [eval_term(t, p) for p in points]
+        factors = reduce(vec)
+        if any(vec):
+            raise InternalInvariantError(f"{t} is independent of a full escalier")
+        coeffs = [Fraction(0)] * m
+        for k, (_, _, scale, met) in reversed(list(enumerate(echelon))):
+            coeffs[k] = c = factors[k] / scale
+            if c:
+                for j, f in enumerate(met):
+                    factors[j] -= c * f
+        return Polynomial(n, dict(zip(kept, coeffs)))
+
+    one = Term.one(n)
+    heap = [(one._rev, one)]
+    queued = {one: [Fraction(1)] * m}  # term -> its evaluation vector
+    while heap and len(kept) < m:
+        _, t = heapq.heappop(heap)
+        vec = list(queued[t])
+        factors = reduce(vec)
+        pivot = next((c for c in range(m) if vec[c]), None)
+        if pivot is None:
+            continue
+        scale = vec[pivot]
+        row = [(c, v / scale) for c, v in enumerate(vec) if v]
+        echelon.append((pivot, row, scale, factors))
+        kept.append(t)
+        kept_set.add(t)
+        for i in range(1, n + 1):
+            u = t * Term.variable(n, i)
+            if u in queued:
+                continue
+            divisors_kept = all(
+                u / Term.variable(n, j) in kept_set
+                for j in range(1, n + 1)
+                if u.deg(j)
+            )
+            if divisors_kept:
+                heapq.heappush(heap, (u._rev, u))
+                queued[u] = [a * b for a, b in zip(queued[t], columns[i - 1])]
+    if len(kept) != m:
+        raise InternalInvariantError(
+            "distinct points must admit one standard monomial per point"
+        )
+    return TermSet(n, kept), interpolant
+
+
+def janet_like_basis_by_fractions(points: PointSet):
+    """The escalier and the basis of janet_like_basis, over the reference
+    scan."""
+    escalier, interpolant = escalier_scan_by_fractions(points)
+    completed, _ = complete(monomial_generators(escalier))
+    basis = [Polynomial.from_term(t) - interpolant(t) for t in completed.terms]
+    return escalier, basis

@@ -10,7 +10,14 @@ from barjanet import cli, errors, parse_term, parse_term_set
 from barjanet.cli import main
 from barjanet.corners import corner_from_json
 from barjanet.barcode import barcode_from_json, BarCode, star_positions
-from barjanet.points import polynomial_from_json, janet_like_basis, parse_points
+from barjanet.points import (
+    format_polynomial,
+    janet_like_basis,
+    parse_points,
+    polynomial_from_json,
+)
+from barjanet.terms import format_term
+from helpers import janet_like_basis_by_fractions
 
 SIX_TERMS_FILE = "vars: 3\nx1^5\nx1^2*x2\nx1*x2^4\nx1^2*x3^2\nx1*x2^2*x3^2\nx3^5\n"
 INCOMPLETE_FILE = "vars: 3\nx2\nx1*x3\n"
@@ -166,6 +173,28 @@ class TestPointsCommands:
         polys = [polynomial_from_json(d, doc["vars"]) for d in doc["basis"]]
         assert polys == list(janet_like_basis(parse_points(POINTS_FILE)))
 
+
+    def test_rescaled_file_matches_fraction_pipeline(self, tmp_path, capsys):
+        # large coprime denominators, 2^61-1, an all-integer column, zeros
+        # and negatives: the integer scan must print the Fraction scan's text
+        text = (
+            "vars: 3\n"
+            "0, 1/9973, -5/10007\n"
+            "3, -2/9967, 0\n"
+            "-1, 0, 7/2305843009213693951\n"
+            "0, 4/10009, 1\n"
+            "2, 1/9973, -5/10007\n"
+            "-1, 1/2305843009213693951, 0\n"
+            "0, 0, 0\n"
+        )
+        path = write(tmp_path, "x.points", text)
+        escalier, basis = janet_like_basis_by_fractions(parse_points(text))
+        assert main(["escalier", path]) == 0
+        expected = "\n".join(format_term(t) for t in escalier) + "\n"
+        assert capsys.readouterr().out == expected
+        assert main(["basis", path]) == 0
+        expected = "\n".join(format_polynomial(g) for g in basis) + "\n"
+        assert capsys.readouterr().out == expected
 
 class TestErrorsAndPlumbing:
     def test_parse_error_exit_one(self, tmp_path, capsys):

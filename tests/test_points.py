@@ -25,7 +25,13 @@ from barjanet import (
     parse_rational,
 )
 from barjanet.points import escalier_scan
-from helpers import random_point_set, random_polynomial, random_term
+from helpers import (
+    escalier_scan_by_fractions,
+    janet_like_basis_by_fractions,
+    random_point_set,
+    random_polynomial,
+    random_term,
+)
 
 
 def t(*exps):
@@ -331,6 +337,101 @@ class TestEscalierInterpolation:
                 assert interpolant(u) == normal_form(Polynomial.from_term(u), N, X)
             for u in N:
                 assert interpolant(u) == Polynomial.from_term(u)
+
+
+def assert_scan_equals_oracle(rng, X, max_exp=4, outside=8, oracle_nf=False):
+    """Same escalier as the Fraction scan, and equal interpolants for every
+    escalier term and for random terms outside it; with oracle_nf also equal
+    to normal_form on those outside terms."""
+    N, interpolant = escalier_scan(X)
+    expected_N, expected = escalier_scan_by_fractions(X)
+    assert N == expected_N
+    assert N.terms == expected_N.terms
+    for u in N:
+        assert interpolant(u) == expected(u) == Polynomial.from_term(u)
+    others = {random_term(rng, X.nvars, max_exp) for _ in range(outside)} - set(N)
+    for u in others:
+        got = interpolant(u)
+        assert got == expected(u)
+        if oracle_nf:
+            assert got == normal_form(Polynomial.from_term(u), N, X)
+
+
+PRIMES_NEAR_10K = (9949, 9967, 9973, 10007, 10009, 10037)
+MERSENNE_61 = 2**61 - 1
+
+
+def rescaling_edge_cases():
+    """Point sets whose column lcms are large, 1, or mixed, with their ids."""
+    rng = random.Random(4411)
+    big = set()
+    while len(big) < 9:
+        big.add(
+            tuple(F(rng.randint(-60, 60), rng.choice(PRIMES_NEAR_10K)) for _ in range(2))
+        )
+    big = sorted(big) + [(F(1, MERSENNE_61), F(-3, MERSENNE_61))]
+    mixed = sorted(
+        {(F(rng.randint(-5, 5)), F(rng.randint(-9, 9), rng.randint(1, 9))) for _ in range(14)}
+    )
+    signs = [
+        (F(0), F(0), F(0)),
+        (F(-1), F(0), F(2)),
+        (F(0), F(-3, 2), F(0)),
+        (F(-4), F(-1), F(-7, 3)),
+        (F(5, 2), F(0), F(-1)),
+        (F(0), F(0), F(-9)),
+    ]
+    line = [(F(k) + F(k % 5, 7),) for k in range(-15, 15)]
+    last = [(F(1, 3), F(-2, 7), F(k, 5)) for k in range(-4, 6)]
+    first = [(F(k, 11), F(0), F(6, 13)) for k in range(-5, 4)]
+    return [
+        pytest.param(PointSet(big), id="primes near 10^4 and 2^61-1"),
+        pytest.param(PointSet(mixed), id="integer column beside fractional"),
+        pytest.param(PointSet(signs), id="zero and negative coordinates"),
+        pytest.param(PointSet(line), id="30 points in 1 variable"),
+        pytest.param(PointSet(last), id="differ in the last coordinate"),
+        pytest.param(PointSet(first), id="differ in the first coordinate"),
+    ]
+
+
+class TestIntegerScan:
+    """The integer escalier scan against the Fraction scan it replaced
+    (escalier_scan_by_fractions in helpers) and the normal_form oracle."""
+
+    def test_equals_fraction_oracle(self):
+        rng = random.Random(4403)
+        for X in interpolation_point_sets(rng):
+            assert_scan_equals_oracle(rng, X)
+        for _ in range(6):
+            n = rng.randint(2, 4)
+            grid = list(itertools.product(range(-2, 3), repeat=n))
+            X = PointSet(rng.sample(grid, rng.randint(12, min(40, len(grid)))))
+            assert_scan_equals_oracle(rng, X)
+        for _ in range(6):
+            X = random_point_set(rng, max_points=40, max_vars=3, coord_bound=9)
+            assert_scan_equals_oracle(rng, X)
+        for _ in range(4):
+            X = random_point_set(rng, max_points=25, max_vars=1, coord_bound=20)
+            assert_scan_equals_oracle(rng, X, max_exp=30)
+
+    def test_interpolant_checks_dimension(self):
+        _, interpolant = escalier_scan(PointSet([(F(1), F(2, 3))]))
+        with pytest.raises(DimensionError):
+            interpolant(t(1))
+
+    @pytest.mark.parametrize("X", rescaling_edge_cases())
+    def test_rescaling_edge_cases(self, X):
+        rng = random.Random(4413)
+        max_exp = 40 if X.nvars == 1 else 5
+        assert_scan_equals_oracle(rng, X, max_exp=max_exp, oracle_nf=True)
+        N = groebner_escalier(X)
+        expected_N, expected_basis = janet_like_basis_by_fractions(X)
+        assert N == expected_N
+        basis = janet_like_basis(X)
+        assert list(basis) == expected_basis
+        for g in basis:
+            lead = Polynomial.from_term(g.leading_term)
+            assert g == lead - normal_form(lead, N, X)
 
 
 class TestFormatting:
