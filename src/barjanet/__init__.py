@@ -11,7 +11,6 @@ from .barcode import (
     BarCode,
     EList,
     StarPlacement,
-    barcode_from_json,
     canonical_labels,
     decode,
     e_list,

@@ -28,7 +28,7 @@ from .errors import (
     InputError,
     MembershipError,
 )
-from .terms import Term, TermSet, box_terms, format_term, parse_term
+from .terms import Term, TermSet, box_terms, format_term
 
 
 @dataclass(frozen=True)
@@ -311,16 +311,14 @@ def is_admissible(bc: BarCode) -> bool:
 def star_positions(bc: BarCode) -> StarPlacement:
     """Stars after bars: the last bar of every row, and between consecutive
     bars of a row that lie over different bars of the row below."""
-    stars = set()
-    n = bc.nvars
-    for i in range(1, n + 1):
-        stars.add((i, bc.mu(i)))
-    for i in range(1, n):
-        for j in range(1, bc.mu(i)):
-            _, last = bc.bar_span(i, j)
-            nxt_first, _ = bc.bar_span(i, j + 1)
-            if bc.bar_of_column(i + 1, last) != bc.bar_of_column(i + 1, nxt_first):
-                stars.add((i, j))
+    stars = {(i, len(starts)) for i, starts in enumerate(bc._starts, 1)}
+    for i, (starts, below) in enumerate(zip(bc._starts, bc._colbar[1:]), 1):
+        # bar j ends at column starts[j] - 1 and bar j + 1 begins at starts[j]
+        stars.update(
+            (i, j)
+            for j, first in enumerate(starts[1:], 1)
+            if below[first - 2] != below[first - 1]
+        )
     return StarPlacement(frozenset(stars))
 
 
@@ -369,17 +367,17 @@ def render_ascii(bc: BarCode, stars: StarPlacement | None = None) -> str:
     label_strs = [format_term(t) for t in bc.labels]
     widths = [len(s) for s in label_strs]
     lines = [" ".join(label_strs)]
-    for i in range(1, bc.nvars + 1):
-        pieces = []
-        for j in range(1, bc.mu(i) + 1):
-            first, last = bc.bar_span(i, j)
-            width = sum(widths[first - 1 : last]) + (last - first)
-            pieces.append("-" * width)
-        line = pieces[0]
-        for j in range(2, bc.mu(i) + 1):
-            starred = stars is not None and stars.has(i, j - 1)
-            line += ("*" if starred else " ") + pieces[j - 1]
-        if stars is not None and stars.has(i, bc.mu(i)):
+    starred = frozenset() if stars is None else stars.stars
+    for i, (starts, row) in enumerate(zip(bc._starts, bc._lengths), 1):
+        pieces = [
+            "-" * (sum(widths[first - 1 : first - 1 + ell]) + ell - 1)
+            for first, ell in zip(starts, row)
+        ]
+        line = pieces[0] + "".join(
+            ("*" if (i, j) in starred else " ") + piece
+            for j, piece in enumerate(pieces[1:], 1)
+        )
+        if (i, len(row)) in starred:
             line += " *"
         lines.append(line)
     return "\n".join(lines)
@@ -395,13 +393,3 @@ def to_json_dict(bc: BarCode, stars: StarPlacement | None = None) -> dict:
     if stars is not None:
         doc["stars"] = [list(pair) for pair in stars.sorted()]
     return doc
-
-
-def barcode_from_json(doc: dict) -> tuple[BarCode, StarPlacement | None]:
-    nvars = int(doc["vars"])
-    labels = [parse_term(s, nvars) for s in doc["labels"]]
-    bc = BarCode.from_lengths(doc["rows"], labels)
-    stars = None
-    if "stars" in doc:
-        stars = StarPlacement(frozenset((int(i), int(j)) for i, j in doc["stars"]))
-    return bc, stars

@@ -33,7 +33,7 @@ from .points import (
     parse_points,
     polynomial_to_json,
 )
-from .terms import format_term, parse_term_set
+from .terms import format_power, format_term, parse_term_set
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -199,10 +199,10 @@ def _run(args) -> tuple[str, int]:
             doc = to_json_dict(bc, stars)
             del doc["labels"]
             return json.dumps(doc, indent=2), EXIT_OK
-        lines = []
-        for i in range(1, bc.nvars + 1):
-            bars = sorted(j for (row, j) in stars if row == i)
-            lines.append(f"row {i}: after bars {', '.join(map(str, bars))}")
+        by_row = {i: [] for i in range(1, bc.nvars + 1)}
+        for i, j in stars:
+            by_row[i].append(str(j))
+        lines = [f"row {i}: after bars {', '.join(bars)}" for i, bars in by_row.items()]
         return "\n".join(lines), EXIT_OK
 
     if args.command == "star-set":
@@ -214,19 +214,14 @@ def _run(args) -> tuple[str, int]:
 
     if args.command == "nmp":
         table = nmp_table(terms, bc)
+        powers = (
+            (format_term(t), [format_power(i, k) for i, k in sorted(table[t].nmp.items())])
+            for t in terms
+        )
         if args.format == "json":
-            doc = {
-                "vars": terms.nvars,
-                "nmp": {
-                    format_term(t): [format_term(p) for p in table[t].powers()]
-                    for t in terms
-                },
-            }
+            doc = {"vars": terms.nvars, "nmp": dict(powers)}
             return json.dumps(doc, indent=2), EXIT_OK
-        lines = []
-        for t in terms:
-            powers = [format_term(p) for p in table[t].powers()]
-            lines.append(f"{format_term(t)}: {', '.join(powers) if powers else '-'}")
+        lines = [f"{t}: {', '.join(p) if p else '-'}" for t, p in powers]
         return "\n".join(lines), EXIT_OK
 
     if args.command == "corners":

@@ -61,19 +61,14 @@ def infinite_corners(
     out: dict[Term, CornerVector] = {}
     for t in terms:
         ann = table[t]
-        entries = []
-        for i in range(1, terms.nvars + 1):
-            if i in ann.multiplicative:
-                entries.append(INF)
-            else:
-                entries.append(t.deg(i) + ann.nmp[i] - 1)
-        out[t] = CornerVector(tuple(entries))
+        out[t] = CornerVector(
+            tuple(
+                INF if i in ann.multiplicative else e + ann.nmp[i] - 1
+                for i, e in enumerate(t.exponents, 1)
+            )
+        )
     return out
 
 
 def corner_to_json(vec: CornerVector) -> list:
     return ["inf" if e is INF else e for e in vec.entries]
-
-
-def corner_from_json(entries: list) -> CornerVector:
-    return CornerVector(tuple(INF if e == "inf" else int(e) for e in entries))

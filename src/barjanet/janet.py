@@ -139,19 +139,25 @@ def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, JanetAnno
         raise EmptyInputError("cannot annotate an empty set")
     if bc is None:
         bc = BarCode.build(terms)
-    stars = star_positions(bc)
+    stars, labels = star_positions(bc).stars, bc.labels
+    # per row, per column: the x_i-exponent of the leftmost label over the
+    # next bar, or None where the column's bar is starred (the last always is)
+    above = []
+    for i, (starts, colbar) in enumerate(zip(bc._starts, bc._colbar), 1):
+        nxt = [None] * (len(starts) + 1)
+        for j, first in enumerate(starts[1:], 1):
+            if (i, j) not in stars:
+                nxt[j] = labels[first - 1].exponents[i - 1]
+        above.append([nxt[j] for j in colbar])
+    everything = frozenset(range(1, bc.nvars + 1))
     table: dict[Term, JanetAnnotation] = {}
-    for col, t in enumerate(bc.labels, 1):
-        mult = set()
-        nmp: dict[int, int] = {}
-        for i in range(1, bc.nvars + 1):
-            j = bc.bar_of_column(i, col)
-            if stars.has(i, j):
-                mult.add(i)
-            else:
-                neighbor = bc.label_of_bar(i, j + 1)
-                nmp[i] = neighbor.deg(i) - t.deg(i)
-        table[t] = JanetAnnotation(t, frozenset(mult), nmp)
+    for t, column in zip(labels, zip(*above)):
+        nmp = {
+            i: e - g
+            for i, (e, g) in enumerate(zip(column, t.exponents), 1)
+            if e is not None
+        }
+        table[t] = JanetAnnotation(t, everything.difference(nmp), nmp)
     return table
 
 

@@ -27,7 +27,7 @@ from .errors import (
     TermSyntaxError,
 )
 from .janet import complete
-from .terms import Term, TermSet, format_term, parse_term, parse_vars_header
+from .terms import Term, TermSet, format_term, parse_vars_header
 
 Point = tuple[Fraction, ...]
 
@@ -238,13 +238,6 @@ def format_polynomial(f: Polynomial) -> str:
 
 def polynomial_to_json(f: Polynomial) -> dict:
     return {format_term(t): str(c) for t, c in f.terms_desc()}
-
-
-def polynomial_from_json(doc: Mapping[str, str], nvars: int) -> Polynomial:
-    return Polynomial(
-        nvars,
-        {parse_term(s, nvars): Fraction(c) for s, c in doc.items()},
-    )
 
 
 @dataclass(frozen=True)

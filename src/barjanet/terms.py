@@ -6,12 +6,18 @@ Conventions used throughout the package:
 * a term is its exponent vector, position i holding the exponent of x_i;
 * the order is lex induced by x_1 < x_2 < ... < x_n, i.e. the highest
   differing variable decides.
+
+Term-set lines take two routes: read_term_line reads a product line such as
+x1^2*x3 with two regular expressions, and hands every other line (and any
+index out of range, number over 18 digits or exponent over the cap) to
+parse_term, the only source of TermSyntaxError and the fast route's oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionError, EmptyInputError, TermSyntaxError
@@ -159,12 +165,13 @@ class TermSet:
         self.nvars = nvars
         unique = set()
         for t in terms:
-            if t.nvars != nvars:
+            if len(t.exponents) != nvars:
                 raise DimensionError(
                     f"term {t} has {t.nvars} variables, expected {nvars}"
                 )
             unique.add(t)
-        self.terms = tuple(sorted(unique))
+        # lex order on terms of one ring is the order of the reversed tuples
+        self.terms = tuple(sorted(unique, key=attrgetter("_rev")))
         self._members = unique
 
     def __len__(self) -> int:
@@ -225,13 +232,13 @@ def box_terms(bounds: Sequence[int]) -> Iterator[Term]:
 
 def format_term(t: Term) -> str:
     """Canonical text form: '1', or factors like x1^2*x3 in variable order."""
-    parts = []
-    for i, e in enumerate(t.exponents, 1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
+    parts = [format_power(i, e) for i, e in enumerate(t.exponents, 1) if e]
     return "*".join(parts) if parts else "1"
+
+
+def format_power(i: int, e: int) -> str:
+    """Text form of x_i^e for e >= 1."""
+    return f"x{i}" if e == 1 else f"x{i}^{e}"
 
 
 def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
@@ -330,6 +337,22 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
 
 _VARS_HEADER = re.compile(r"^vars\s*:\s*(\d+)\s*$")
 _VAR_INDEX = re.compile(r"x\s*(\d+)")
+# parse_term's product grammar: on str, \d is isdecimal and \s is isspace
+_FACTOR = re.compile(r"x\s*(\d+)(?:\s*\^\s*(\d+))?")
+_PRODUCT_LINE = re.compile(rf"\s*{_FACTOR.pattern}(?:\s*\*\s*{_FACTOR.pattern})*\s*")
+
+
+def read_term_line(text: str, nvars: int, line: int | None = None) -> Term:
+    """parse_term(text, nvars, line), reading a product line without it."""
+    if _PRODUCT_LINE.fullmatch(text) is None:
+        return parse_term(text, nvars, line)
+    exps = [0] * nvars
+    for index, power in _FACTOR.findall(text):
+        i = int(index) - 1 if len(index) <= 18 else -1
+        if not 0 <= i < nvars or len(power) > 18:
+            return parse_term(text, nvars, line)
+        exps[i] += int(power) if power else 1
+    return Term(exps) if max(exps) <= MAX_EXPONENT else parse_term(text, nvars, line)
 
 
 def _bounded_nat(digits: str, cap: int) -> int:
@@ -399,5 +422,5 @@ def parse_term_set(text: str) -> TermSet:
         else:
             nvars = max(max_index, 1)
 
-    terms = [parse_term(body, nvars, line=line_no) for line_no, body in content]
+    terms = [read_term_line(body, nvars, line_no) for line_no, body in content]
     return TermSet(nvars, terms)

@@ -8,18 +8,23 @@ import random
 from fractions import Fraction
 
 from barjanet import (
+    INF,
+    BarCode,
     CompletionBoundError,
     CompletionReport,
+    CornerVector,
     EmptyInputError,
     InternalInvariantError,
     PointSet,
     Polynomial,
+    StarPlacement,
     Term,
     TermSet,
     box_terms,
     complete,
     is_complete,
     monomial_generators,
+    parse_term,
 )
 from barjanet.points import eval_term
 
@@ -251,3 +256,28 @@ def janet_like_basis_by_fractions(points: PointSet):
     completed, _ = complete(monomial_generators(escalier))
     basis = [Polynomial.from_term(t) - interpolant(t) for t in completed.terms]
     return escalier, basis
+
+
+# Readers of the CLI's JSON output, the inverses of to_json_dict,
+# corner_to_json and polynomial_to_json.
+
+
+def barcode_from_json(doc: dict) -> tuple[BarCode, StarPlacement | None]:
+    nvars = int(doc["vars"])
+    labels = [parse_term(s, nvars) for s in doc["labels"]]
+    bc = BarCode.from_lengths(doc["rows"], labels)
+    stars = None
+    if "stars" in doc:
+        stars = StarPlacement(frozenset((int(i), int(j)) for i, j in doc["stars"]))
+    return bc, stars
+
+
+def corner_from_json(entries: list) -> CornerVector:
+    return CornerVector(tuple(INF if e == "inf" else int(e) for e in entries))
+
+
+def polynomial_from_json(doc: dict, nvars: int) -> Polynomial:
+    return Polynomial(
+        nvars,
+        {parse_term(s, nvars): Fraction(c) for s, c in doc.items()},
+    )

@@ -11,7 +11,6 @@ from barjanet import (
     InputError,
     Term,
     TermSet,
-    barcode_from_json,
     canonical_labels,
     decode,
     e_list,
@@ -23,7 +22,7 @@ from barjanet import (
     star_set_bruteforce,
     to_json_dict,
 )
-from helpers import random_order_ideal, random_term_set
+from helpers import barcode_from_json, random_order_ideal, random_term_set
 
 
 def t(*exps):

@@ -8,16 +8,15 @@ import pytest
 
 from barjanet import cli, errors, parse_term, parse_term_set
 from barjanet.cli import main
-from barjanet.corners import corner_from_json
-from barjanet.barcode import barcode_from_json, BarCode, star_positions
-from barjanet.points import (
-    format_polynomial,
-    janet_like_basis,
-    parse_points,
+from barjanet.barcode import BarCode, star_positions
+from barjanet.points import format_polynomial, janet_like_basis, parse_points
+from barjanet.terms import format_term
+from helpers import (
+    barcode_from_json,
+    corner_from_json,
+    janet_like_basis_by_fractions,
     polynomial_from_json,
 )
-from barjanet.terms import format_term
-from helpers import janet_like_basis_by_fractions
 
 SIX_TERMS_FILE = "vars: 3\nx1^5\nx1^2*x2\nx1*x2^4\nx1^2*x3^2\nx1*x2^2*x3^2\nx3^5\n"
 INCOMPLETE_FILE = "vars: 3\nx2\nx1*x3\n"

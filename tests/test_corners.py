@@ -11,10 +11,11 @@ from barjanet import (
     janet_like_divisors,
     multiplicative_variables,
     nmp_table,
+    nmp_table_bruteforce,
     parse_term,
     parse_term_set,
 )
-from helpers import in_semigroup_ideal, random_term_set
+from helpers import grown_order_ideal, in_semigroup_ideal, random_term, random_term_set
 
 
 # k[x, y] with x below y: x = x1, y = x2
@@ -97,6 +98,27 @@ class TestGeneralProperties:
             for w in box_terms(bounds):
                 count = len(janet_like_divisors(done, w, table))
                 assert count == (1 if in_semigroup_ideal(done, w) else 0)
+
+    def test_equal_corners_of_the_definitional_table(self):
+        rng = random.Random(233)
+        sets = [TermSet(1, [Term((e,)) for e in (0, 3, 4, 9)]), TermSet(6, [Term((1,) * 6)])]
+        for nvars in (4, 5, 6):
+            sets.append(TermSet(nvars, [random_term(rng, nvars, 5) for _ in range(250)]))
+            sets.append(grown_order_ideal(rng, nvars, 200))
+        for ts in sets:
+            oracle = nmp_table_bruteforce(ts)
+            expected = {
+                t: CornerVector(
+                    tuple(
+                        INF
+                        if i in oracle[t].multiplicative
+                        else t.deg(i) + oracle[t].nmp[i] - 1
+                        for i in range(1, ts.nvars + 1)
+                    )
+                )
+                for t in ts
+            }
+            assert infinite_corners(ts) == expected
 
     def test_text_form(self):
         assert CornerVector((INF, 2)).format() == "x1^inf*x2^2"

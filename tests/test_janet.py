@@ -26,6 +26,7 @@ from barjanet import (
     nmp_table_bruteforce,
     parse_term,
     parse_term_set,
+    star_positions,
 )
 from helpers import (
     complete_by_rebuild,
@@ -108,6 +109,42 @@ class TestNmpTable:
             for t, ann in nmp_table(ts).items():
                 assert set(ann.nmp) == set(ann.nonmultiplicative)
                 assert all(k >= 1 for k in ann.nmp.values())
+
+
+def benchmark_shaped_sets(seed):
+    """Sets like the annotate benchmark's, smaller: random sets and order
+    ideals of a few hundred terms in 5-6 variables, 1-variable sets and
+    single terms."""
+    rng = random.Random(seed)
+    for nvars in (5, 6):
+        yield TermSet(nvars, [random_term(rng, nvars, 6) for _ in range(300)])
+        yield grown_order_ideal(rng, nvars, 250)
+        yield TermSet(nvars, [random_term(rng, nvars, 3)])
+    yield TermSet(1, [Term((e,)) for e in rng.sample(range(200), 40)])
+    yield TermSet(1, [Term((7,))])
+
+
+class TestFastPathsAtScale:
+    def test_nmp_table_equals_definition(self):
+        for ts in benchmark_shaped_sets(113):
+            assert nmp_table(ts) == nmp_table_bruteforce(ts)
+
+    def test_stars_mark_exactly_the_multiplicative_variables(self):
+        for ts in benchmark_shaped_sets(131):
+            bc = BarCode.build(ts)
+            stars = star_positions(bc)
+            oracle = nmp_table_bruteforce(ts)
+            for col, t in enumerate(bc.labels, 1):
+                starred = {
+                    i
+                    for i in range(1, ts.nvars + 1)
+                    if stars.has(i, bc.bar_of_column(i, col))
+                }
+                assert starred == oracle[t].multiplicative
+            for t in ts.terms[:: max(1, len(ts) // 10)]:
+                assert multiplicative_variables_from_stars(
+                    bc, t
+                ) == multiplicative_variables(ts, t)
 
 
 class TestJanetDivisor:

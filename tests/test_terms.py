@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barjanet import (
     DimensionError,
@@ -15,6 +17,7 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
+from barjanet.terms import read_term_line
 from helpers import random_term
 
 
@@ -224,3 +227,85 @@ class TestTermSetParsing:
     def test_overlong_exponent_rejected(self):
         with pytest.raises(TermSyntaxError):
             parse_term("x1^" + "9" * 5000, 1)
+
+
+def read_outcome(reader, text, nvars):
+    """The term a line reader returns, or its error's message, position and
+    line."""
+    try:
+        return reader(text, nvars, 7)
+    except TermSyntaxError as exc:
+        return (str(exc), exc.position, exc.line)
+
+
+# Single characters of the term grammar and near misses: a no-break space,
+# an Arabic-Indic three (a decimal digit) and a superscript two (not one).
+CHARS = ["x", "^", "*", "1", "[", "]", ",", "#", " ", "\t", "\u00a0", "0", "2",
+         "9", "\u0663", "\u00b2"]
+NUMBERS = [
+    "0", "1", "2", "3", "4", "12", "01", "\u0663", "\u0661\u0662", "2\u0663",
+    "\u00b2", "0" * 19 + "2", "9" * 19, "1" * 40, str(MAX_EXPONENT),
+    str(MAX_EXPONENT + 1), str(MAX_EXPONENT // 2 + 1),
+]
+SPACE = st.sampled_from(["", "", " ", "\t", " \t"])
+FACTOR = st.builds(
+    lambda a, i, b, c, k: f"x{a}{i}" + ("" if k is None else f"{b}^{c}{k}"),
+    SPACE, st.sampled_from(NUMBERS), SPACE, SPACE,
+    st.none() | st.sampled_from(NUMBERS),
+)
+PRODUCT = st.builds(
+    lambda a, factors, sep, b: a + sep.join(factors) + b,
+    SPACE, st.lists(FACTOR, min_size=1, max_size=4), st.sampled_from(["*", " * ", "*\t"]),
+    SPACE,
+)
+ANY_LINE = st.lists(st.sampled_from(CHARS), max_size=12).map("".join)
+
+
+class TestLineReader:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(PRODUCT, ANY_LINE), st.integers(1, 4))
+    def test_agrees_with_parse_term(self, text, nvars):
+        assert read_outcome(read_term_line, text, nvars) == read_outcome(
+            parse_term, text, nvars
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x" + "0" * 20 + "1",
+            "x1^" + "0" * 30 + "5",
+            "x1^" + "9" * 19,
+            "x" + "9" * 19,
+            "x0",
+            "x4",
+            "x2*x0^3",
+            f"x1^{MAX_EXPONENT}*x1",
+            f"x2^{MAX_EXPONENT // 2 + 1}*x1*x2^{MAX_EXPONENT // 2}",
+            f"x3^{MAX_EXPONENT}*x3^0",
+            "x\u0663^\u0661\u0662",
+            "x1^\u00b2",
+            "x1 ^ 2 * x2 # comment",
+            "1",
+            "[1,2,3]",
+            "",
+        ],
+    )
+    def test_edge_lines_agree_with_parse_term(self, text):
+        assert read_outcome(read_term_line, text, 3) == read_outcome(parse_term, text, 3)
+
+    def test_product_lines_skip_parse_term(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fell back to parse_term")
+
+        lines = ["x1", "x3^12*x1", " x2 ^ 3 * x\t2\t", f"x1^{MAX_EXPONENT}", "x\u0663^\u0662"]
+        expected = [parse_term(line, 3) for line in lines]
+        monkeypatch.setattr("barjanet.terms.parse_term", refuse)
+        assert [read_term_line(line, 3) for line in lines] == expected
+
+    def test_term_set_errors_keep_their_line(self):
+        with pytest.raises(TermSyntaxError) as info:
+            parse_term_set(f"vars: 2\nx1\nx2^{MAX_EXPONENT}*x2\n")
+        assert str(info.value) == (
+            f"exponent of x2 exceeds the cap {MAX_EXPONENT} (line 3, column 16)"
+        )
+
