@@ -68,7 +68,7 @@ class StarPlacement:
 class BarCode:
     """Immutable bar code; rows, bars and columns are indexed from 1."""
 
-    __slots__ = ("_nvars", "_lengths", "_starts", "_colbar", "_labels", "_lookups")
+    __slots__ = ("_nvars", "_lengths", "_starts", "_colbar", "_labels", "_index", "_columns")
 
     def __init__(self, lengths, labels, _internal=False):
         if not _internal:
@@ -90,7 +90,8 @@ class BarCode:
         self._starts = tuple(starts)
         self._colbar = tuple(colbar)
         self._labels = labels
-        self._lookups = None
+        self._index = None
+        self._columns = None
 
     @classmethod
     def build(cls, terms: TermSet) -> BarCode:
@@ -189,33 +190,19 @@ class BarCode:
 
     def column_of(self, t: Term) -> int:
         """Column carrying the label t."""
+        if self._index is None:
+            self._index = {t: col for col, t in enumerate(self._labels, 1)}
         try:
-            return self._lookup()[0][t]
+            return self._index[t]
         except KeyError:
             raise MembershipError(f"{t} is not a column label of the bar code") from None
 
-    def descend(self, row: int, bar: int, bounds: Sequence[int]) -> int | None:
-        """Column reached by walking down from the given bar to row 1, at each
-        lower row l onto the bar over the current one whose x_l-exponent is
-        the largest not above bounds[l-1]; None when no bar qualifies.
-
-        The bars over a bar of row l+1 are the runs of equal x_l-exponent in
-        its columns, which lex order sorts, so each step is two bisections.
-        """
-        first, last = self.bar_span(row, bar)
-        col = descend_columns(self._lookup()[1], first - 1, last, row, bounds)
-        return None if col is None else col + 1
-
-    def _lookup(self):
-        """Indexes built on first use, so building a bar code pays nothing for
-        them: the column of each label, and per variable its exponent in
-        every column."""
-        if self._lookups is None:
-            self._lookups = (
-                {t: col for col, t in enumerate(self._labels, 1)},
-                tuple(zip(*(t.exponents for t in self._labels))),
-            )
-        return self._lookups
+    def exponent_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Entry v: each column's x_(v+1)-exponent. Built on first use, like
+        column_of's index, so building a bar code pays nothing for either."""
+        if self._columns is None:
+            self._columns = tuple(zip(*(t.exponents for t in self._labels)))
+        return self._columns
 
     def _check_row(self, row: int) -> None:
         if not 1 <= row <= self._nvars:
@@ -235,10 +222,13 @@ class BarCode:
 
 
 def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int | None:
-    """BarCode.descend on raw lex-sorted columns: exponents[v] holds each
-    column's x_(v+1)-exponent and the 0-based columns lo..hi-1 form a bar of
-    the given row (row n+1 over every column starts above the whole set).
-    Returns the first 0-based column reached, or None."""
+    """First 0-based column reached by walking down from the bar lo..hi-1 of
+    the given row (row n+1 spans every column) to row 1, at each lower row l
+    onto the bar over the current one whose x_l-exponent is the largest not
+    above bounds[l-1]; None when no bar qualifies. exponents is
+    BarCode.exponent_columns; the bars over a bar of row l+1 are the runs of
+    equal x_l-exponent in its columns, which lex order sorts, so each step
+    is two bisections."""
     for low in range(row - 2, -1, -1):
         exps = exponents[low]
         c = bisect_right(exps, bounds[low], lo, hi) - 1

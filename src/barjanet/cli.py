@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import add
+from typing import Iterator
 
 from .barcode import (
     BarCode,
@@ -33,7 +35,7 @@ from .points import (
     parse_points,
     polynomial_to_json,
 )
-from .terms import format_power, format_term, parse_term_set
+from .terms import format_exponents, format_power, format_term, parse_term_set
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -100,21 +102,15 @@ def _read_input(path: str) -> str:
         raise TermSyntaxError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
-def _witness_lines(report: CompletionReport, verbose: bool) -> list[str]:
-    lines = []
+def _witness_lines(report: CompletionReport, verbose: bool) -> Iterator[str]:
     for w in report.witnesses:
-        product = w.term * w.power
-        if w.divisor is None:
-            lines.append(
-                f"missing divisor: {format_term(w.term)} * {format_term(w.power)}"
-                f" = {format_term(product)}"
-            )
-        elif verbose:
-            lines.append(
-                f"ok: {format_term(w.term)} * {format_term(w.power)}"
-                f" = {format_term(product)} <- {format_term(w.divisor)}"
-            )
-    return lines
+        if w.divisor is None or verbose:
+            product = format_exponents(map(add, w.term.exponents, w.power.exponents))
+            line = f"{format_term(w.term)} * {format_term(w.power)} = {product}"
+            if w.divisor is None:
+                yield f"missing divisor: {line}"
+            else:
+                yield f"ok: {line} <- {format_term(w.divisor)}"
 
 
 def _report_json(report: CompletionReport) -> dict:

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from heapq import heappop, heappush
+from operator import le
 
 from .barcode import BarCode, descend_columns, star_positions
 from .errors import (
@@ -73,18 +75,14 @@ class CompletionReport:
         return tuple(w for w in self.witnesses if w.divisor is None)
 
 
-def _require_member(terms: TermSet, t: Term) -> None:
-    if t not in terms:
-        raise MembershipError(f"{t} does not belong to the given set")
-
-
 def _agrees_above(u: Term, t: Term, i: int) -> bool:
     return u.exponents[i:] == t.exponents[i:]
 
 
 def multiplicative_variables(terms: TermSet, t: Term) -> frozenset[int]:
     """Janet multiplicative variables of t, by the definitional scan."""
-    _require_member(terms, t)
+    if t not in terms:
+        raise MembershipError(f"{t} does not belong to the given set")
     out = set()
     for i in range(1, terms.nvars + 1):
         if not any(
@@ -195,8 +193,8 @@ def is_multiplier(
         table = nmp_table(terms)
     if t not in table:
         raise MembershipError(f"{t} does not belong to the given set")
-    ann = table[t]
-    return all(v.deg(i) < k for i, k in ann.nmp.items())
+    t._check_dim(v)
+    return all(v.exponents[i - 1] < k for i, k in table[t].nmp.items())
 
 
 def janet_like_divisors(
@@ -240,45 +238,56 @@ def divisors_for_nm_product(
         table = nmp_table(terms, bc)
     if t not in table:
         raise MembershipError(f"{t} does not belong to the given set")
+    t._check_dim(p)
     i = p.min_variable()
-    if i is None or len(p.exponents) != terms.nvars or any(p.exponents[i:]):
+    if i is None or any(p.exponents[i:]):
         raise ValueError(f"{p} is not a pure power")
     k = p.exponents[i - 1]
     if table[t].nmp.get(i) != k:
         raise ValueError(f"{p} is not a nonmultiplicative power of {t}")
-    w = list(t.exponents)
+    s = _divisor_at(bc, table, bc.column_of(t) - 1, i, k)
+    return () if s is None else (s,)
+
+
+def _divisor_at(bc: BarCode, table, col: int, i: int, k: int) -> Term | None:
+    """The Janet-like divisor of w = t*x_i^k, t the label of the 0-based column
+    col and x_i^k its power, or None: the descent's candidate, confirmed."""
+    w = list(bc.labels[col].exponents)
     w[i - 1] += k
-    col = bc.descend(i, bc.bar_of_column(i, bc.column_of(t)) + 1, w)
-    if col is None:
-        return ()
-    s = bc.labels[col - 1]
-    return (s,) if _janet_like_divides(s, table[s].nmp, w) else ()
+    bar = bc._colbar[i - 1][col]  # 1-based index of t's bar: 0-based of the next
+    lo = bc._starts[i - 1][bar] - 1
+    c = descend_columns(bc.exponent_columns(), lo, lo + bc._lengths[i - 1][bar], i, w)
+    s = None if c is None else bc.labels[c]
+    return s if s is not None and _janet_like_divides(s, table[s].nmp, w) else None
 
 
 def _janet_like_divides(s: Term, nmp: dict[int, int], w) -> bool:
     """True when s divides the exponent vector w and none of s's
     nonmultiplicative powers nmp divides w/s."""
-    return all(a <= b for a, b in zip(s.exponents, w)) and all(
+    return all(map(le, s.exponents, w)) and all(
         w[v - 1] - s.exponents[v - 1] < gap for v, gap in nmp.items()
     )
 
 
+def _powers(nvars: int):
+    """power(i, k) = x_i^k, built once per (i, k) and shared by every witness."""
+    return lru_cache(maxsize=None)(partial(Term.variable, nvars))
+
+
 def is_complete(terms: TermSet) -> CompletionReport:
-    """Check every (term, nonmultiplicative power) pair for a divisor of the
-    product; the set is complete when all pairs have one."""
+    """Check every (term, nonmultiplicative power) pair, in lex order and by
+    variable, for a divisor of the product; complete when all have one."""
     if len(terms) == 0:
         raise EmptyInputError("completeness is defined for nonempty sets")
     bc = BarCode.build(terms)
     table = nmp_table(terms, bc)
-    witnesses = []
-    for t in terms:
-        for p in table[t].powers():
-            found = divisors_for_nm_product(terms, t, p, bc, table)
-            witnesses.append(Witness(t, p, found[0] if found else None))
-    return CompletionReport(
-        complete=all(w.divisor is not None for w in witnesses),
-        witnesses=tuple(witnesses),
+    power = _powers(terms.nvars)
+    witnesses = tuple(
+        Witness(t, power(i, k), _divisor_at(bc, table, col, i, k))
+        for col, t in enumerate(bc.labels)
+        for i, k in sorted(table[t].nmp.items())
     )
+    return CompletionReport(all(w.divisor is not None for w in witnesses), witnesses)
 
 
 def complete(terms: TermSet) -> tuple[TermSet, CompletionReport]:
@@ -374,11 +383,11 @@ class _LiveCompletion:
     def witnesses(self) -> tuple[Witness, ...]:
         """The obligations in is_complete's order: terms in lex, powers by
         variable."""
-        out = []
+        power, out = _powers(len(self.exponents)), []
         for t in self.columns:
             for i, k in sorted(self.nmp[t].items()):
                 _, s, ok = self.checked[(t, i)]
-                out.append(Witness(t, Term.variable(t.nvars, i, k), s if ok else None))
+                out.append(Witness(t, power(i, k), s if ok else None))
         return tuple(out)
 
     def _insert(self, c: Term) -> list[tuple[Term, int]]:

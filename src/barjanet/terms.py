@@ -232,7 +232,12 @@ def box_terms(bounds: Sequence[int]) -> Iterator[Term]:
 
 def format_term(t: Term) -> str:
     """Canonical text form: '1', or factors like x1^2*x3 in variable order."""
-    parts = [format_power(i, e) for i, e in enumerate(t.exponents, 1) if e]
+    return format_exponents(t.exponents)
+
+
+def format_exponents(exponents: Iterable[int]) -> str:
+    """format_term of the term with these exponents, without building it."""
+    parts = [format_power(i, e) for i, e in enumerate(exponents, 1) if e]
     return "*".join(parts) if parts else "1"
 
 

@@ -1,12 +1,16 @@
+import io
 import json
 import os
+import random
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from barjanet import cli, errors, parse_term, parse_term_set
+from barjanet import TermSet, cli, errors, is_complete, parse_term, parse_term_set
 from barjanet.cli import main
 from barjanet.barcode import BarCode, star_positions
 from barjanet.points import format_polynomial, janet_like_basis, parse_points
@@ -16,6 +20,7 @@ from helpers import (
     corner_from_json,
     janet_like_basis_by_fractions,
     polynomial_from_json,
+    random_term,
 )
 
 SIX_TERMS_FILE = "vars: 3\nx1^5\nx1^2*x2\nx1*x2^4\nx1^2*x3^2\nx1*x2^2*x3^2\nx3^5\n"
@@ -77,6 +82,52 @@ class TestCheckComplete:
         assert doc["complete"] is False
         missing = [w for w in doc["witnesses"] if w["divisor"] is None]
         assert missing == [{"term": "x2", "power": "x3", "divisor": None}]
+
+
+def report_output(report, args):
+    """check-complete's stdout built from the report the old way, with the
+    product formatted from the Term w.term * w.power."""
+    if "json" in args:
+        doc = {
+            "complete": report.complete,
+            "witnesses": [
+                {
+                    "term": format_term(w.term),
+                    "power": format_term(w.power),
+                    "divisor": None if w.divisor is None else format_term(w.divisor),
+                }
+                for w in report.witnesses
+            ],
+            "added": [],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    lines = ["complete" if report.complete else "incomplete"]
+    for w in [] if "--quiet" in args else report.witnesses:
+        product = f"{format_term(w.term)} * {format_term(w.power)} = {format_term(w.term * w.power)}"
+        if w.divisor is None:
+            lines.append(f"missing divisor: {product}")
+        elif "-v" in args:
+            lines.append(f"ok: {product} <- {format_term(w.divisor)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCheckCompleteOutput:
+    """The witness lines are formatted from exponent tuples; formatting the
+    product Term, as before, is their oracle, byte for byte."""
+
+    @pytest.mark.parametrize("nvars,size,top", [(4, 300, 8), (6, 200, 3), (4, 1, 5)])
+    @pytest.mark.parametrize("args", [[], ["-v"], ["--quiet"], ["--format", "json"]])
+    def test_equals_old_route(self, tmp_path, capsys, nvars, size, top, args):
+        rng = random.Random(nvars * 1000 + size)
+        ts = TermSet(nvars, [random_term(rng, nvars, top) for _ in range(size)])
+        report = is_complete(ts)
+        assert report.complete == (size == 1)
+        body = "".join(f"{format_term(t)}\n" for t in reversed(ts.terms))
+        path = write(tmp_path, "u.terms", f"vars: {nvars}\n{body}")
+        assert main(["check-complete", path, *args]) == (0 if report.complete else 3)
+        captured = capsys.readouterr()
+        assert captured.out == report_output(report, args)
+        assert captured.err == ""
 
 
 class TestComplete:
@@ -327,6 +378,45 @@ class TestErrorsAndPlumbing:
             "incomplete",
             "missing divisor: x2 * x3 = x2*x3",
         ]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# printf's format: any text but quotes, % and backslashes, save the \n escape
+README_COMMAND = re.compile(r"\$ printf '((?:[^'%\\]|\\n)*)' \| barjanet (.+)")
+
+
+def readme_examples():
+    """(stdin, argv, expected stdout) of each `$ printf ... | barjanet ...`
+    line of the README; its output runs to the next `$` line or fence."""
+    examples = []
+    lines = README.read_text(encoding="utf-8").splitlines()
+    for at, line in enumerate(lines):
+        m = README_COMMAND.fullmatch(line)
+        if m is None:
+            continue
+        expected = []
+        for out in lines[at + 1 :]:
+            if out.startswith(("$", "```")):
+                break
+            expected.append(out + "\n")
+        stdin = m.group(1).replace("\\n", "\n")
+        examples.append((stdin, shlex.split(m.group(2)), "".join(expected)))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_every_example_is_read(self):
+        lines = README.read_text(encoding="utf-8").splitlines()
+        shown = sum(line.startswith("$ printf") for line in lines)
+        assert len(readme_examples()) == shown >= 3
+
+    @pytest.mark.parametrize("stdin,argv,expected", readme_examples())
+    def test_example_output(self, capsys, monkeypatch, stdin, argv, expected):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert code == (3 if expected.startswith("incomplete") else 0)
 
 
 class TestExitCodeContract:

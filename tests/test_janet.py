@@ -6,6 +6,7 @@ import pytest
 
 from barjanet import (
     BarCode,
+    DimensionError,
     MembershipError,
     PointSet,
     Term,
@@ -28,6 +29,7 @@ from barjanet import (
     parse_term_set,
     star_positions,
 )
+from barjanet.janet import _LiveCompletion
 from helpers import (
     complete_by_rebuild,
     expanded_box,
@@ -190,6 +192,13 @@ class TestMultiplier:
         with pytest.raises(MembershipError):
             is_multiplier(SIX_TERMS, g("x2^9"), g("x1"))
 
+    def test_other_ring_rejected(self):
+        u2 = parse_term_set("vars: 2\nx1\nx2\n")
+        x1 = parse_term("x1", 2)
+        for v in (Term((0, 0, 5)), Term((0,)), Term((1, 0, 0))):
+            with pytest.raises(DimensionError, match=f"2 vs {v.nvars} variables"):
+                is_multiplier(u2, x1, v)
+
 
 class TestJanetLikeDivisors:
     def test_six_term_examples(self):
@@ -236,6 +245,14 @@ class TestNextBarLookup:
         with pytest.raises(MembershipError):
             divisors_for_nm_product(SIX_TERMS, g("x2^9"), g("x2"))
 
+    def test_power_from_other_ring_rejected(self):
+        u2 = parse_term_set("vars: 2\nx1\nx2\n")
+        x1 = parse_term("x1", 2)
+        assert divisors_for_nm_product(u2, x1, Term((0, 1))) == (Term((0, 1)),)
+        for p in (Term((0, 1, 0)), Term((0, 0, 1)), Term((1,))):
+            with pytest.raises(DimensionError, match=f"2 vs {p.nvars} variables"):
+                divisors_for_nm_product(u2, x1, p)
+
     def test_column_map_rejects_non_members(self):
         bc = BarCode.build(SIX_TERMS)
         with pytest.raises(MembershipError):
@@ -280,6 +297,97 @@ class TestNextBarLookup:
                     via_bar = divisors_for_nm_product(ts, t, p, bc, table)
                     via_scan = janet_like_divisors(ts, t * p, table)
                     assert via_bar == via_scan
+
+
+def witness_oracle(ts):
+    """is_complete's witnesses by definition, as [(t, x_i^k, divisors or
+    None)]: terms in lex order, powers by variable from nmp_table_bruteforce,
+    divisors from janet_like_divisors over the same table. Each call is
+    given only the members dividing t*x_i^k, found with one bit mask per
+    variable and exponent, which leaves its answer unchanged."""
+    oracle = nmp_table_bruteforce(ts)
+    members = ts.terms
+    # at_most[v][e]: bit j set when members[j] has x_(v+1)-exponent <= e
+    at_most = []
+    for v in range(ts.nvars):
+        top = max(t.exponents[v] for t in members)
+        masks = [0] * (top + 1)
+        for j, t in enumerate(members):
+            masks[t.exponents[v]] |= 1 << j
+        for e in range(1, top + 1):
+            masks[e] |= masks[e - 1]
+        at_most.append(masks)
+    out = []
+    for t in members:
+        for i, k in sorted(oracle[t].nmp.items()):
+            p = Term.variable(ts.nvars, i, k)
+            w = t * p
+            bits = -1
+            for masks, e in zip(at_most, w.exponents):
+                bits &= masks[min(e, len(masks) - 1)]
+            dividing = [u for j, u in enumerate(members) if bits >> j & 1]
+            found = janet_like_divisors(TermSet(ts.nvars, dividing), w, oracle)
+            out.append((t, p, found or None))
+    return out
+
+
+def oracle_sets():
+    """Random sets in 1 to 6 variables, singletons, 1-variable sets, order
+    ideals with the minimal generators of their complements, and one
+    1,000-term set in 4 variables."""
+    rng = random.Random(181)
+    for nvars in range(1, 7):
+        for _ in range(6):
+            size = rng.randint(2, 60)
+            yield TermSet(nvars, [random_term(rng, nvars, rng.randint(1, 9)) for _ in range(size)])
+        yield TermSet(nvars, [random_term(rng, nvars, 5)])
+        ideal = grown_order_ideal(rng, nvars, rng.randint(1, 80))
+        yield ideal
+        yield monomial_generators(ideal)
+    yield TermSet(1, [Term((e,)) for e in rng.sample(range(100), 30)])
+    yield TermSet(4, [random_term(rng, 4, 11) for _ in range(1000)])
+
+
+class TestOnePassCheck:
+    """is_complete reads every obligation's divisor off the bar code in one
+    pass; the definitional scan is its oracle, order included."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(ts, witness_oracle(ts)) for ts in oracle_sets()]
+
+    def test_witnesses_equal_oracle(self, cases):
+        undivided = 0
+        for ts, expected in cases:
+            report = is_complete(ts)
+            got = [
+                (w.term, w.power, None if w.divisor is None else (w.divisor,))
+                for w in report.witnesses
+            ]
+            assert got == expected
+            assert report.complete == all(found for _, _, found in expected)
+            undivided += sum(found is None for _, _, found in expected)
+        assert undivided >= 100
+
+    def test_divisors_for_nm_product_equal_oracle(self, cases):
+        for ts, expected in cases:
+            bc = BarCode.build(ts)
+            table = nmp_table(ts, bc)
+            for t, p, found in expected:
+                assert divisors_for_nm_product(ts, t, p, bc, table) == (found or ())
+            if len(ts) < 100:
+                for t, p, found in expected:
+                    assert divisors_for_nm_product(ts, t, p) == (found or ())
+
+    def test_one_power_term_per_variable_and_exponent(self, cases):
+        # complete()'s live state lists the witnesses of its input alike
+        for ts, _ in cases[:-1]:
+            report = is_complete(ts)
+            live = _LiveCompletion(ts).witnesses()
+            assert live == report.witnesses
+            for witnesses in (report.witnesses, live):
+                powers = [w.power for w in witnesses]
+                assert len(set(map(id, powers))) == len(set(powers))
 
 
 class TestCompleteness:

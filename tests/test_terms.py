@@ -17,7 +17,7 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
-from barjanet.terms import read_term_line
+from barjanet.terms import format_exponents, read_term_line
 from helpers import random_term
 
 
@@ -119,6 +119,15 @@ class TestParseFormat:
             n = rng.randint(1, 4)
             a = random_term(rng, n, 6)
             assert parse_term(format_term(a), n) == a
+
+    def test_format_exponents_equals_format_term(self):
+        rng = random.Random(6)
+        vectors = [(0,), (0, 0, 0, 0), (1,), (0, 1, 0), (12, 0, 1, 0, 7)]
+        vectors += [random_term(rng, rng.randint(1, 6), 3).exponents for _ in range(300)]
+        for e in vectors:
+            assert format_exponents(e) == format_term(Term(e))
+            assert format_exponents(iter(e)) == format_term(Term(e))
+        assert format_exponents((0, 0, 0)) == "1"
 
     def test_syntax_error_position(self):
         with pytest.raises(TermSyntaxError) as info:
