@@ -24,6 +24,7 @@ from .corners import corner_to_json, infinite_corners
 from .errors import (
     BarjanetError,
     EmptyInputError,
+    InputError,
     InternalInvariantError,
     TermSyntaxError,
 )
@@ -42,6 +43,8 @@ EXIT_PARSE = 1
 EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 EXIT_INTERNAL = 4
+
+MAX_BASIS_POINTS = 250  # basis is O(m^3) in the points; README gives timings
 
 _TERM_COMMANDS = (
     "render",
@@ -134,19 +137,15 @@ def _run(args) -> tuple[str, int]:
         if args.command == "escalier":
             escalier = groebner_escalier(points)
             if args.format == "json":
-                doc = {
-                    "vars": escalier.nvars,
-                    "points": len(points),
-                    "escalier": [format_term(t) for t in escalier],
-                }
+                terms = [format_term(t) for t in escalier]
+                doc = {"vars": escalier.nvars, "points": len(points), "escalier": terms}
                 return json.dumps(doc, indent=2), EXIT_OK
             return "\n".join(format_term(t) for t in escalier), EXIT_OK
+        if len(points) > MAX_BASIS_POINTS:
+            raise InputError(f"basis takes at most {MAX_BASIS_POINTS} points")
         basis = janet_like_basis(points)
         if args.format == "json":
-            doc = {
-                "vars": points.nvars,
-                "basis": [polynomial_to_json(g) for g in basis],
-            }
+            doc = {"vars": points.nvars, "basis": [polynomial_to_json(g) for g in basis]}
             return json.dumps(doc, indent=2), EXIT_OK
         return "\n".join(format_polynomial(g) for g in basis), EXIT_OK
 

@@ -1,24 +1,29 @@
 """From rational points to a reduced Janet-like basis, with no Groebner step.
 
-Pipeline: the lex escalier of the vanishing ideal of the points is found by a
-greedy scan keeping terms whose evaluation vectors, rescaled to integers, are
-independent; its complement's minimal generators are completed Janet-like;
-each completed generator t yields the basis element t minus its interpolant
-over the escalier. Results are exact; normal_form, over Fraction, is the
-reference the scan's interpolants are tested against.
+Pipeline: the lex escalier of the vanishing ideal of the points is read off
+the trie of their coordinates by a fibre-count rule, with no arithmetic
+(Cerlienco and Mureddu, "From algebraic sets to monomial linear bases by means
+of combinatorial algorithms", Discrete Math. 1995; Felszeghy, Rath and Ronyai,
+"The lex game and some applications", J. Symbolic Comput. 2006). Its
+complement's minimal generators are completed Janet-like, and each completed
+generator t yields the basis element t minus its interpolant over the
+escalier, found by eliminating the escalier's evaluation vectors on integers.
+normal_form, over Fraction, is the reference the interpolants are tested against.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd, lcm, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .barcode import BarCode, star_set
 from .errors import (
+    AdmissibilityError,
     DimensionError,
     EmptyInputError,
     InputError,
@@ -178,10 +183,6 @@ class Polynomial:
             raise EmptyInputError("the zero polynomial has no leading term")
         return max(self.coefficients)
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        return self.coefficients[self.leading_term]
-
     def support(self) -> tuple[Term, ...]:
         return tuple(sorted(self.coefficients))
 
@@ -313,98 +314,99 @@ def evaluation_matrix(terms: Sequence[Term], points: PointSet) -> RationalMatrix
     )
 
 
-def escalier_scan(points: PointSet) -> tuple[TermSet, Callable[[Term], Polynomial]]:
-    """Lex escalier of the vanishing ideal of the points, and the map from a
-    term to its interpolant over the escalier (Buchberger-Moeller).
+def groebner_escalier(points: PointSet) -> TermSet:
+    """Lex escalier of the vanishing ideal of the points, read off the trie of
+    their coordinates by the fibre-count rule (Cerlienco and Mureddu 1995;
+    Felszeghy, Rath and Ronyai 2006): grouped by x1 into fibres, x1^k*b is
+    standard exactly when b is standard for more than k fibres, and each
+    fibre's escalier in x2..xn is found the same way. The sorted points are
+    the leaves; nodes merge bottom up, one branching level at a time, and a
+    term is its nonzero (variable index, exponent) pairs until the end."""
+    # shared[j]: how many leading coordinates sorted points j and j + 1 agree on
+    pairs = pairwise(sorted(points))
+    shared = [next(i for i, c in enumerate(p) if c != q[i]) for p, q in pairs]
+    nodes = [(s, [()]) for s in [*shared, -1]]  # (shared with the next, escalier)
+    for depth in sorted(set(shared), reverse=True):
+        merged, counts = [], Counter()
+        for s, escalier in nodes:
+            counts.update(escalier)  # a fibre of the node at this depth
+            if s != depth:
+                escalier = [(*b, (depth, k)) if k else b for b, c in counts.items() for k in range(c)]
+                merged.append((s, escalier))
+                counts = Counter()
+        nodes = merged
+    [(_, escalier)] = nodes
+    if len(escalier) != len(points):
+        raise InternalInvariantError("distinct points must admit one standard monomial each")
+    n = points.nvars
+    return TermSet(n, (Term(dict(b).get(i, 0) for i in range(n)) for b in escalier))
 
-    Terms are visited in increasing lex along the divisor-closed frontier; a
-    term is kept exactly when its evaluation vector is independent of those
-    already kept, and the complement of the kept set is the leading-term
-    ideal. Stops after one term per point. Column i of the points is scaled
-    by the lcm d_i of its denominators, which keeps ranks: a term s then
-    evaluates to d^s times its value. Each vector carries the combination of
-    kept-term vectors it equals (its own term's at m + number kept) and is
-    reduced by v <- a*v - b*row, without fractions; a kept row is divided by
-    its content. A term t reduced to 0, as k*t + sum k_s*s = 0, has the
-    interpolant coefficients -k_s*d^s / (k*d^t), the only Fractions formed.
-    """
+
+def escalier_scan(points: PointSet) -> tuple[TermSet, Callable[[Term], Polynomial]]:
+    """groebner_escalier (the fibre-count rule) and the map from a term to its
+    interpolant over it: Buchberger-Moeller on the escalier's vectors alone,
+    in increasing lex, each its parent's times a coordinate column and each
+    keeping a pivot. Column i is scaled by the lcm d_i of its denominators,
+    which keeps ranks: a term s then evaluates to d^s times its value. A
+    vector carries the combination of escalier vectors it equals (one entry
+    per row met, its own term's apart) and is reduced by v <- a*v - b*row; a
+    kept row is divided by its content. A term t reduced to 0, as k*t + sum
+    k_s*s = 0, has the coefficients -k_s*d^s / (k*d^t), the only Fractions."""
+    escalier = groebner_escalier(points)
     n = points.nvars
     m = len(points)
     scales = [lcm(*(p[i].denominator for p in points)) for i in range(n)]
     scaled = [tuple(int(c * d) for c, d in zip(p, scales)) for p in points]
-    kept: list[Term] = []
-    kept_exponents: set[tuple[int, ...]] = set()
+    kept = escalier.terms
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
 
-    def reduce(values: list[int]) -> list[int]:
-        vec = values + [0] * (m + 1)
-        vec[m + len(kept)] = 1
+    def reduce(values: list[int]) -> tuple[list[int], int]:
+        vec, own = [*values], 1
         for pivot, row in echelon:
+            vec.append(0)
             f = vec[pivot]
             if f:
                 g = gcd(row[pivot], f)
                 a, b = row[pivot] // g, f // g
                 vec = [a * x - b * y for x, y in zip(vec, row)]
-        return vec
+                own *= a
+        return vec, own
 
     def interpolant(t: Term) -> Polynomial:
         if t.nvars != n:
             raise DimensionError("point dimension does not match the term")
         exps = t.exponents
-        vec = reduce([prod(c**e for c, e in zip(p, exps) if e) for p in scaled])
+        vec, own = reduce([prod(c**e for c, e in zip(p, exps) if e) for p in scaled])
         if any(vec[:m]):
             raise InternalInvariantError(f"{t} is independent of a full escalier")
-        denominator = -vec[-1] * prod(d**e for d, e in zip(scales, exps) if e)
+        denominator = -own * prod(d**e for d, e in zip(scales, exps) if e)
         coefficients = (Fraction(k * w, denominator) for w, k in zip(weights, vec[m:]))
         return Polynomial(n, zip(kept, coefficients))
 
-    one = Term.one(n)
-    heap: list[tuple[tuple[int, ...], Term]] = [(one._rev, one)]
-    queued = {one.exponents: [1] * m}  # exponents -> scaled evaluation vector
-    while heap and len(kept) < m:
-        _, t = heapq.heappop(heap)
-        e = t.exponents
-        vec = reduce(queued[e])
+    vectors = {kept[0]: [1] * m}  # escalier term -> scaled evaluation vector
+    for s in kept:
+        if s not in vectors:
+            i = next(i for i, e in enumerate(s.exponents) if e)
+            parent = vectors[s / Term.variable(n, i + 1)]
+            vectors[s] = [a * p[i] for a, p in zip(parent, scaled)]
+        vec, own = reduce(vectors[s])
         pivot = next((c for c in range(m) if vec[c]), None)
         if pivot is None:
-            continue
-        g = gcd(*vec)
-        echelon.append((pivot, [x // g for x in vec]))
-        kept.append(t)
-        kept_exponents.add(e)
-        for i in range(n):
-            u = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            if u not in queued and all(
-                u[:j] + (x - 1,) + u[j + 1 :] in kept_exponents
-                for j, x in enumerate(u)
-                if x
-            ):
-                heapq.heappush(heap, (u[::-1], Term(u)))
-                queued[u] = [a * p[i] for a, p in zip(queued[e], scaled)]
-    if len(kept) != m:
-        raise InternalInvariantError(
-            "distinct points must admit one standard monomial per point"
-        )
+            raise InternalInvariantError(f"escalier term {s} depends on those below it")
+        g = gcd(*vec, own)
+        echelon.append((pivot, [x // g for x in vec] + [own // g]))
     weights = [prod(d**e for d, e in zip(scales, s.exponents) if e) for s in kept]
-    return TermSet(n, kept), interpolant
-
-
-def groebner_escalier(points: PointSet) -> TermSet:
-    """Lex escalier of the vanishing ideal of the points (see escalier_scan)."""
-    return escalier_scan(points)[0]
+    return escalier, interpolant
 
 
 def monomial_generators(ideal_complement: TermSet) -> TermSet:
     """Minimal generating set of the complement of an order ideal: the
     divisibility-minimal elements of its star set."""
-    if not ideal_complement.is_order_ideal():
-        raise InputError("the escalier must be an order ideal")
-    stars = star_set(BarCode.build(ideal_complement))
-    minimal = [
-        s
-        for s in stars
-        if not any(u != s and u.divides(s) for u in stars)
-    ]
+    try:
+        stars = star_set(BarCode.build(ideal_complement))
+    except AdmissibilityError:
+        raise InputError("the escalier must be an order ideal") from None
+    minimal = [s for s in stars if not any(u != s and u.divides(s) for u in stars)]
     return TermSet(ideal_complement.nvars, minimal)
 
 
@@ -432,8 +434,7 @@ def janet_like_basis(points: PointSet) -> tuple[Polynomial, ...]:
     and its tail is supported on the escalier.
     """
     escalier, interpolant = escalier_scan(points)
-    generators = monomial_generators(escalier)
-    completed, _ = complete(generators)
+    completed, _ = complete(monomial_generators(escalier))
     basis = []
     for t in completed.terms:
         tail = interpolant(t).coefficients.items()

@@ -50,3 +50,18 @@ def test_install_replaces_and_restore_puts_back(tmp_path, capsys):
     capsys.readouterr()
     for (target, attr), original in zip(names, originals):
         assert target.__dict__[attr] is original, attr
+
+
+def test_basis_escalier_is_traced(tmp_path, capsys):
+    # basis reaches its escalier through points.groebner_escalier, so the
+    # points.escalier span covers basis as well as escalier
+    tracer = tracing.install(barjanet)
+    try:
+        path = tmp_path / "x.points"
+        path.write_text("vars: 2\n0,0\n1,0\n0,1\n2,3\n", encoding="utf-8")
+        assert barjanet.cli.main(["basis", str(path)]) == 0
+        assert tracer.self_time["points.escalier"] > 0
+        assert tracer.counts["janet.rounds"] >= 1
+    finally:
+        tracer.restore()
+    capsys.readouterr()

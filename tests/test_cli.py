@@ -13,8 +13,13 @@ import pytest
 from barjanet import TermSet, cli, errors, is_complete, parse_term, parse_term_set
 from barjanet.cli import main
 from barjanet.barcode import BarCode, star_positions
-from barjanet.points import format_polynomial, janet_like_basis, parse_points
-from barjanet.terms import format_term
+from barjanet.points import (
+    format_polynomial,
+    groebner_escalier,
+    janet_like_basis,
+    parse_points,
+)
+from barjanet.terms import MAX_VARS, format_term
 from helpers import (
     barcode_from_json,
     corner_from_json,
@@ -245,6 +250,28 @@ class TestPointsCommands:
         assert main(["basis", path]) == 0
         expected = "\n".join(format_polynomial(g) for g in basis) + "\n"
         assert capsys.readouterr().out == expected
+
+    def test_basis_points_budget(self, tmp_path, capsys):
+        limit = cli.MAX_BASIS_POINTS
+        body = "".join(f"{k % 17}, {k // 17}\n" for k in range(limit + 1))
+        path = write(tmp_path, "x.points", "vars: 2\n" + body)
+        assert main(["basis", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: basis takes at most {limit} points\n"
+        assert main(["escalier", path]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == limit + 1
+
+    def test_escalier_in_max_vars(self, tmp_path, capsys):
+        rng = random.Random(4431)
+        rows = [",".join(str(rng.randint(-2, 2)) for _ in range(MAX_VARS)) for _ in range(3)]
+        text = f"vars: {MAX_VARS}\n" + "\n".join(rows) + "\n"
+        path = write(tmp_path, "x.points", text)
+        assert main(["escalier", path]) == 0
+        escalier = groebner_escalier(parse_points(text))
+        expected = "\n".join(format_term(t) for t in escalier) + "\n"
+        assert capsys.readouterr().out == expected
+
 
 class TestErrorsAndPlumbing:
     def test_parse_error_exit_one(self, tmp_path, capsys):

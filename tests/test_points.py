@@ -24,7 +24,9 @@ from barjanet import (
     parse_points,
     parse_rational,
 )
+import barjanet.points as points_module
 from barjanet.points import escalier_scan
+from barjanet.terms import MAX_VARS
 from helpers import (
     escalier_scan_by_fractions,
     janet_like_basis_by_fractions,
@@ -133,8 +135,20 @@ class TestMonomialGenerators:
         )
 
     def test_requires_order_ideal(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="the escalier must be an order ideal"):
             monomial_generators(TermSet(2, [t(1, 0)]))
+        with pytest.raises(InputError, match="the escalier must be an order ideal"):
+            monomial_generators(TermSet(3, [t(0, 0, 0), t(1, 0, 1), t(0, 0, 1)]))
+
+    def test_order_ideal_checked_once(self, monkeypatch):
+        calls = []
+        original = TermSet.is_order_ideal
+        monkeypatch.setattr(
+            TermSet, "is_order_ideal", lambda self: calls.append(self) or original(self)
+        )
+        N = TermSet(2, [t(0, 0), t(1, 0), t(0, 1)])
+        assert monomial_generators(N) == TermSet(2, [t(2, 0), t(1, 1), t(0, 2)])
+        assert len(calls) == 1
 
     def test_generates_and_minimal(self):
         rng = random.Random(311)
@@ -432,6 +446,96 @@ class TestIntegerScan:
         for g in basis:
             lead = Polynomial.from_term(g.leading_term)
             assert g == lead - normal_form(lead, N, X)
+
+
+def one_coordinate_set(n, size, position):
+    """size points in n variables equal everywhere except at one position."""
+    base = [F(k, 3) - 1 for k in range(n)]
+    points = []
+    for k in range(size):
+        p = list(base)
+        p[position] = F(k * k - 7, 5)
+        points.append(tuple(p))
+    return PointSet(points)
+
+
+def assert_trie_equals_scan(X):
+    assert groebner_escalier(X).terms == escalier_scan_by_fractions(X)[0].terms
+
+
+class TestTrieEscalier:
+    """groebner_escalier reads the escalier off the point trie by the
+    fibre-count rule; the Fraction scan escalier_scan_by_fractions is its
+    oracle."""
+
+    def test_seeded_grids(self):
+        rng = random.Random(4421)
+        for _ in range(40):
+            n, side = rng.randint(1, 4), rng.randint(2, 5)
+            grid = list(itertools.product(range(side), repeat=n))
+            X = PointSet(rng.sample(grid, rng.randint(1, min(40, len(grid)))))
+            assert_trie_equals_scan(X)
+
+    def test_many_shared_coordinates(self):
+        rng = random.Random(4422)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            values = [F(v, rng.randint(1, 4)) for v in rng.sample(range(-6, 7), 3)]
+            values = values[: rng.randint(1, 3)]
+            draws = {tuple(rng.choice(values) for _ in range(n)) for _ in range(30)}
+            assert_trie_equals_scan(PointSet(sorted(draws)))
+
+    def test_one_variable(self):
+        rng = random.Random(4423)
+        for _ in range(20):
+            X = random_point_set(rng, max_points=30, max_vars=1, coord_bound=20)
+            assert groebner_escalier(X) == TermSet(1, [t(k) for k in range(len(X))])
+            assert_trie_equals_scan(X)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_points_differing_in_first_or_last_coordinate(self, n):
+        for position, variable in ((0, 1), (n - 1, n)):
+            X = one_coordinate_set(n, 9, position)
+            powers = [Term.variable(n, variable, k) for k in range(9)]
+            assert groebner_escalier(X) == TermSet(n, powers)
+            assert_trie_equals_scan(X)
+
+    @pytest.mark.parametrize("X", rescaling_edge_cases())
+    def test_rescaling_edge_cases(self, X):
+        assert_trie_equals_scan(X)
+
+    def test_thousand_points_without_elimination(self, monkeypatch):
+        # the escalier needs no arithmetic: every elimination entry point
+        # and the integer kernels it calls fail if reached
+        def fail(*args):
+            raise AssertionError("groebner_escalier entered the elimination")
+
+        for name in ("escalier_scan", "gcd", "lcm", "normal_form", "eval_term"):
+            monkeypatch.setattr(points_module, name, fail)
+        rng = random.Random(7)
+        draws = set()
+        while len(draws) < 1000:
+            draws.add(tuple(F(rng.randint(-20, 20)) for _ in range(3)))
+        X = PointSet(sorted(draws))
+        N = groebner_escalier(X)
+        assert len(N) == 1000
+        assert N.is_order_ideal()
+        # x1^k*b is standard for exactly the k below the number of x1-fibres
+        # whose projections to x2, x3 admit b
+        fibres = {}
+        for p in X:
+            fibres.setdefault(p[0], []).append(p[1:])
+        assert sum(1 for s in N if s.exponents[1:] == (0, 0)) == len(fibres)
+
+    def test_max_vars(self):
+        n = MAX_VARS
+        rng = random.Random(4424)
+        X = PointSet([tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(3)])
+        N, interpolant = escalier_scan(X)
+        assert N.terms == escalier_scan_by_fractions(X)[0].terms
+        outside = [Term.variable(n, 1, 3), Term.variable(n, 2), Term.variable(n, n)]
+        for u in outside:
+            assert interpolant(u) == normal_form(Polynomial.from_term(u), N, X)
 
 
 class TestFormatting:
