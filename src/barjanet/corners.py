@@ -60,12 +60,9 @@ def infinite_corners(
         table = nmp_table(terms)
     out: dict[Term, CornerVector] = {}
     for t in terms:
-        ann = table[t]
+        nmp = table[t].nmp
         out[t] = CornerVector(
-            tuple(
-                INF if i in ann.multiplicative else e + ann.nmp[i] - 1
-                for i, e in enumerate(t.exponents, 1)
-            )
+            tuple(e + nmp[i] - 1 if i in nmp else INF for i, e in enumerate(t.exponents, 1))
         )
     return out
 

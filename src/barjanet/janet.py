@@ -10,7 +10,11 @@ all exponents above j and exceeds it at j. Janet-like: when x_i is
 nonmultiplicative for t, the minimal positive gap k_i in the i-exponent among
 the agreeing terms makes x_i^(k_i) a nonmultiplicative power of t; a
 multiplier for t is any term divisible by none of t's nonmultiplicative
-powers, and t Janet-like divides w when w/t is a multiplier.
+powers, and t Janet-like divides w when w/t is a multiplier. The divisor of
+t*x_i^(k_i) is the candidate of one bar-code descent, a divisor by
+construction (see _divisor_at), so no table confirms it; TestOnePassCheck and
+TestDescentCandidate (tests/test_janet.py) hold it to the definitional scan
+on every obligation.
 
 complete() keeps one live state across its rounds and re-checks only the
 obligations an added term can change; the round-by-round rebuild it replaces
@@ -23,7 +27,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from operator import le
 
 from .barcode import BarCode, descend_columns, star_positions
 from .errors import (
@@ -37,16 +40,19 @@ from .terms import Term, TermSet
 
 @dataclass(frozen=True)
 class JanetAnnotation:
-    """Per-term Janet data: multiplicative variables and the powers attached
-    to the nonmultiplicative ones."""
+    """Per-term Janet data: the powers {i: k_i} of the nonmultiplicative
+    variables; the others are multiplicative (Gerdt and Blinkov, CASC 2005)."""
 
     term: Term
-    multiplicative: frozenset[int]
     nmp: dict[int, int] = field(default_factory=dict)
 
     @property
     def nonmultiplicative(self) -> frozenset[int]:
-        return frozenset(range(1, self.term.nvars + 1)) - self.multiplicative
+        return frozenset(self.nmp)
+
+    @property
+    def multiplicative(self) -> frozenset[int]:
+        return frozenset(range(1, self.term.nvars + 1)).difference(self.nmp)
 
     def powers(self) -> tuple[Term, ...]:
         """Nonmultiplicative powers as terms, in variable order."""
@@ -113,11 +119,7 @@ def janet_divisor(terms: TermSet, w: Term) -> Term | None:
         if not t.divides(w):
             continue
         mult = multiplicative_variables(terms, t)
-        quotient = w / t
-        if all(
-            quotient.exponents[i - 1] == 0 or i in mult
-            for i in range(1, terms.nvars + 1)
-        ):
+        if all(e == 0 or i in mult for i, e in enumerate((w / t).exponents, 1)):
             found.append(t)
     if len(found) > 1:
         raise InternalInvariantError(
@@ -147,7 +149,6 @@ def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, JanetAnno
             if (i, j) not in stars:
                 nxt[j] = labels[first - 1].exponents[i - 1]
         above.append([nxt[j] for j in colbar])
-    everything = frozenset(range(1, bc.nvars + 1))
     table: dict[Term, JanetAnnotation] = {}
     for t, column in zip(labels, zip(*above)):
         nmp = {
@@ -155,7 +156,7 @@ def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, JanetAnno
             for i, (e, g) in enumerate(zip(column, t.exponents), 1)
             if e is not None
         }
-        table[t] = JanetAnnotation(t, everything.difference(nmp), nmp)
+        table[t] = JanetAnnotation(t, nmp)
     return table
 
 
@@ -165,7 +166,6 @@ def nmp_table_bruteforce(terms: TermSet) -> dict[Term, JanetAnnotation]:
         raise EmptyInputError("cannot annotate an empty set")
     table: dict[Term, JanetAnnotation] = {}
     for t in terms:
-        mult = set()
         nmp: dict[int, int] = {}
         for i in range(1, terms.nvars + 1):
             group = [u for u in terms if _agrees_above(u, t, i)]
@@ -176,9 +176,7 @@ def nmp_table_bruteforce(terms: TermSet) -> dict[Term, JanetAnnotation]:
                     for u in group
                     if u.exponents[i - 1] > t.exponents[i - 1]
                 )
-            else:
-                mult.add(i)
-        table[t] = JanetAnnotation(t, frozenset(mult), nmp)
+        table[t] = JanetAnnotation(t, nmp)
     return table
 
 
@@ -230,7 +228,8 @@ def divisors_for_nm_product(
     and s's power at x_l divides w/s), so it lies over the i-bar next to
     t's. At each lower row l, s's power at x_l is the gap to the next bar
     over the same parent, so s_l must be the largest bar exponent not above
-    w_l. One descent finds this only candidate; the table confirms it.
+    w_l. One descent finds this only candidate, a divisor by construction
+    (see _divisor_at), so no table confirms it.
     """
     if bc is None:
         bc = BarCode.build(terms)
@@ -245,28 +244,26 @@ def divisors_for_nm_product(
     k = p.exponents[i - 1]
     if table[t].nmp.get(i) != k:
         raise ValueError(f"{p} is not a nonmultiplicative power of {t}")
-    s = _divisor_at(bc, table, bc.column_of(t) - 1, i, k)
+    s = _divisor_at(bc, bc.column_of(t) - 1, i, k)
     return () if s is None else (s,)
 
 
-def _divisor_at(bc: BarCode, table, col: int, i: int, k: int) -> Term | None:
+def _divisor_at(bc: BarCode, col: int, i: int, k: int) -> Term | None:
     """The Janet-like divisor of w = t*x_i^k, t the label of the 0-based column
-    col and x_i^k its power, or None: the descent's candidate, confirmed."""
+    col and x_i^k its power: the column the descent from the i-bar next to
+    t's reaches, or None. That candidate s divides w Janet-like:
+    - the next i-bar holds the columns agreeing with w on x_i..x_n, so s
+      agrees with w there and w/s has no x_i..x_n part;
+    - below row i each pick is the largest exponent not above w_l, so s | w;
+    - the next bar over the same parent sets s's x_l-power and its exponent
+      exceeds w_l, so w_l - s_l is below that power (if x_l has one).
+    """
     w = list(bc.labels[col].exponents)
     w[i - 1] += k
     bar = bc._colbar[i - 1][col]  # 1-based index of t's bar: 0-based of the next
     lo = bc._starts[i - 1][bar] - 1
     c = descend_columns(bc.exponent_columns(), lo, lo + bc._lengths[i - 1][bar], i, w)
-    s = None if c is None else bc.labels[c]
-    return s if s is not None and _janet_like_divides(s, table[s].nmp, w) else None
-
-
-def _janet_like_divides(s: Term, nmp: dict[int, int], w) -> bool:
-    """True when s divides the exponent vector w and none of s's
-    nonmultiplicative powers nmp divides w/s."""
-    return all(map(le, s.exponents, w)) and all(
-        w[v - 1] - s.exponents[v - 1] < gap for v, gap in nmp.items()
-    )
+    return None if c is None else bc.labels[c]
 
 
 def _powers(nvars: int):
@@ -283,7 +280,7 @@ def is_complete(terms: TermSet) -> CompletionReport:
     table = nmp_table(terms, bc)
     power = _powers(terms.nvars)
     witnesses = tuple(
-        Witness(t, power(i, k), _divisor_at(bc, table, col, i, k))
+        Witness(t, power(i, k), _divisor_at(bc, col, i, k))
         for col, t in enumerate(bc.labels)
         for i, k in sorted(table[t].nmp.items())
     )
@@ -334,24 +331,23 @@ class _LiveCompletion:
     columns holds the set in lex order and exponents[v] each column's
     x_(v+1)-exponent, as a bar code does; nmp maps each term to its powers
     {i: k_i}. Obligation (t, i) keeps its product w = t*x_i^(k_i) as a
-    tuple, the candidate its descent reaches and whether that candidate
-    Janet-like divides w. Failing ones wait on a heap in lex order of w;
-    entries whose obligation has changed since are skipped.
+    tuple and its divisor s, the label its descent reaches, or None when it
+    fails. Failing ones wait on a heap in lex order of w; entries whose
+    obligation has changed since are skipped.
 
-    The verdict of (t, i) depends only on k_i, on the columns agreeing with
-    w on x_i..x_n (the descent's start) and on the candidate s's powers at
-    x_l for l < i, since s agrees with w on x_i..x_n. Adding c changes
-    x_l-powers only of terms agreeing with c on x_(l+1)..x_n, so a change to
-    s's makes c agree with w on x_i..x_n. Re-checking the obligations whose
-    power changed, those of c and those whose w agrees with c on x_i..x_n
-    (by_bar) is therefore enough.
+    The descent starts from row n+1 and reproduces w exactly on rows n..i, as
+    t and the term that sets k_i are columns; below, it is _divisor_at's
+    descent, so s is a divisor. A verdict thus depends only on w and on the
+    columns agreeing with w on x_i..x_n, and adding c changes those only when
+    c agrees with w there. Re-checking the obligations whose power changed,
+    those of c and those whose w agrees with c on x_i..x_n (by_bar) suffices.
     """
 
     def __init__(self, terms: TermSet):
         self.columns: list[Term] = []
         self.exponents: list[list[int]] = [[] for _ in range(terms.nvars)]
         self.nmp: dict[Term, dict[int, int]] = {}
-        self.checked: dict[tuple[Term, int], tuple[tuple[int, ...], Term | None, bool]] = {}
+        self.checked: dict[tuple[Term, int], tuple[tuple[int, ...], Term | None]] = {}
         self.by_bar: dict[tuple[int, tuple[int, ...]], set[tuple[Term, int]]] = {}
         self.failing: list = []
         for t in terms:
@@ -374,8 +370,8 @@ class _LiveCompletion:
         heap = self.failing
         while heap:
             rev, i, t = heap[0]
-            w, _, ok = self.checked[(t, i)]
-            if not ok and w[::-1] == rev:
+            w, s = self.checked[(t, i)]
+            if s is None and w[::-1] == rev:
                 return Term(w)
             heappop(heap)
         return None
@@ -386,8 +382,7 @@ class _LiveCompletion:
         power, out = _powers(len(self.exponents)), []
         for t in self.columns:
             for i, k in sorted(self.nmp[t].items()):
-                _, s, ok = self.checked[(t, i)]
-                out.append(Witness(t, power(i, k), s if ok else None))
+                out.append(Witness(t, power(i, k), self.checked[(t, i)][1]))
         return tuple(out)
 
     def _insert(self, c: Term) -> list[tuple[Term, int]]:
@@ -430,17 +425,13 @@ class _LiveCompletion:
         exps[i - 1] += self.nmp[t][i]
         w = tuple(exps)
         col = descend_columns(self.exponents, 0, len(self.columns), len(w) + 1, w)
-        s = None if col is None else self.columns[col]
-        ok = s is not None and _janet_like_divides(s, self.nmp[s], w)
-        self.checked[key] = (w, s, ok)
+        self.checked[key] = (w, None if col is None else self.columns[col])
         self.by_bar.setdefault((i, w[i - 1 :]), set()).add(key)
-        if not ok:
+        if col is None:
             heappush(self.failing, (w[::-1], i, t))
 
 
 def janet_implies_janet_like(terms: TermSet, w: Term) -> bool:
     """True when w's Janet divisor, if any, is also a Janet-like divisor."""
     t = janet_divisor(terms, w)
-    if t is None:
-        return True
-    return t in janet_like_divisors(terms, w)
+    return t is None or t in janet_like_divisors(terms, w)

@@ -32,7 +32,7 @@ from .errors import (
     TermSyntaxError,
 )
 from .janet import complete
-from .terms import Term, TermSet, format_term, parse_vars_header
+from .terms import MAX_VARS, Term, TermSet, format_term, parse_vars_header
 
 Point = tuple[Fraction, ...]
 
@@ -102,8 +102,11 @@ def parse_points(text: str) -> PointSet:
             nvars = parse_vars_header(body, line_no)
             if nvars is not None:
                 continue
+        fields = body.split(",")
+        if len(fields) > MAX_VARS:
+            raise TermSyntaxError(f"more than {MAX_VARS} variables, the limit", line=line_no)
         try:
-            coords = tuple(parse_rational(c) for c in body.split(","))
+            coords = tuple(parse_rational(c) for c in fields)
         except TermSyntaxError as exc:
             raise TermSyntaxError(str(exc), line=line_no) from None
         rows.append(coords)
@@ -400,14 +403,22 @@ def escalier_scan(points: PointSet) -> tuple[TermSet, Callable[[Term], Polynomia
 
 
 def monomial_generators(ideal_complement: TermSet) -> TermSet:
-    """Minimal generating set of the complement of an order ideal: the
-    divisibility-minimal elements of its star set."""
+    """Minimal generating set of the complement of an order ideal N: the stars
+    s with s/x_v in N for each x_v dividing s, which makes s minimal since N
+    is closed under division. Every minimal generator g is a star, as g/x_i
+    is in N for x_i its least variable. Each test is a set lookup per x_v."""
     try:
         stars = star_set(BarCode.build(ideal_complement))
     except AdmissibilityError:
         raise InputError("the escalier must be an order ideal") from None
-    minimal = [s for s in stars if not any(u != s and u.divides(s) for u in stars)]
+    inside = {t.exponents for t in ideal_complement}
+    minimal = [s for s in stars if all(d in inside for d in _unit_quotients(s.exponents))]
     return TermSet(ideal_complement.nvars, minimal)
+
+
+def _unit_quotients(e: tuple[int, ...]):
+    """The exponent vectors of t/x_v for each x_v dividing t = x^e."""
+    return (e[:v] + (x - 1,) + e[v + 1 :] for v, x in enumerate(e) if x)
 
 
 def normal_form(f: Polynomial, basis: TermSet, points: PointSet) -> Polynomial:

@@ -265,12 +265,13 @@ class TestPointsCommands:
     def test_escalier_in_max_vars(self, tmp_path, capsys):
         rng = random.Random(4431)
         rows = [",".join(str(rng.randint(-2, 2)) for _ in range(MAX_VARS)) for _ in range(3)]
-        text = f"vars: {MAX_VARS}\n" + "\n".join(rows) + "\n"
-        path = write(tmp_path, "x.points", text)
-        assert main(["escalier", path]) == 0
-        escalier = groebner_escalier(parse_points(text))
-        expected = "\n".join(format_term(t) for t in escalier) + "\n"
-        assert capsys.readouterr().out == expected
+        for header in (f"vars: {MAX_VARS}\n", ""):
+            text = header + "\n".join(rows) + "\n"
+            path = write(tmp_path, "x.points", text)
+            assert main(["escalier", path]) == 0
+            escalier = groebner_escalier(parse_points(text))
+            expected = "\n".join(format_term(t) for t in escalier) + "\n"
+            assert capsys.readouterr().out == expected
 
 
 class TestErrorsAndPlumbing:
@@ -304,6 +305,9 @@ class TestErrorsAndPlumbing:
             ("basis", "vars: 2\n0,0\n1,1/0\n2,1\n"),
             ("nmp", "vars: 400000\nx1\n"),
             ("nmp", "x400000\n"),
+            pytest.param(
+                "basis", ",".join(["0"] * (MAX_VARS + 1)) + "\n", id="basis-headerless-1025"
+            ),
         ],
     )
     def test_bad_input_one_line_exit_one(self, tmp_path, capsys, command, content):

@@ -104,12 +104,14 @@ class TestNmpTable:
             ts = random_term_set(rng, max_vars=4, max_terms=25, max_exp=5)
             assert nmp_table(ts) == nmp_table_bruteforce(ts)
 
-    def test_nmp_vars_are_exactly_nonmultiplicative(self):
+    def test_derived_multiplicative_equals_definition(self):
+        # an annotation stores only its powers; the variables without one
+        # must be the Janet multiplicative variables of the definitional scan
         rng = random.Random(107)
         for _ in range(100):
             ts = random_term_set(rng, max_vars=4, max_terms=15, max_exp=4)
-            for t, ann in nmp_table(ts).items():
-                assert set(ann.nmp) == set(ann.nonmultiplicative)
+            for t, ann in nmp_table_bruteforce(ts).items():
+                assert ann.multiplicative == multiplicative_variables(ts, t)
                 assert all(k >= 1 for k in ann.nmp.values())
 
 
@@ -388,6 +390,52 @@ class TestOnePassCheck:
             for witnesses in (report.witnesses, live):
                 powers = [w.power for w in witnesses]
                 assert len(set(map(id, powers))) == len(set(powers))
+
+
+def live_sets():
+    """Random sets, grown order ideals and the minimal generators of their
+    complements, in 1 to 5 variables."""
+    rng = random.Random(191)
+    for nvars in range(1, 6):
+        for max_exp in (3, 9):
+            for _ in range(5):
+                size = rng.randint(1, 12)
+                yield TermSet(nvars, [random_term(rng, nvars, max_exp) for _ in range(size)])
+        for _ in range(5):
+            ideal = grown_order_ideal(rng, nvars, rng.randint(1, 40))
+            yield ideal
+            yield monomial_generators(ideal)
+
+
+class TestDescentCandidate:
+    """No table confirms the descent's candidate in the library: it is a
+    Janet-like divisor by construction (janet._divisor_at). This holds the
+    live state's candidate to the definitional scan on every obligation,
+    after construction and after every added term; TestOnePassCheck does
+    the same for is_complete."""
+
+    @staticmethod
+    def assert_candidates_are_divisors(live, nvars):
+        current = TermSet(nvars, live.columns)
+        oracle = nmp_table_bruteforce(current)
+        assert set(live.checked) == {(t, i) for t in current for i in oracle[t].nmp}
+        for (t, i), (w, s) in live.checked.items():
+            assert Term(w) == t * Term.variable(nvars, i, oracle[t].nmp[i])
+            expected = janet_like_divisors(current, Term(w), oracle)
+            assert ((s,) if s is not None else ()) == expected
+        return [s is None for _, s in live.checked.values()]
+
+    def test_every_obligation_after_every_added_term(self):
+        states, undivided = 0, []
+        for ts in live_sets():
+            live = _LiveCompletion(ts)
+            undivided += self.assert_candidates_are_divisors(live, ts.nvars)
+            while (c := live.next_failing()) is not None:
+                live.add(c)
+                states += 1
+                undivided += self.assert_candidates_are_divisors(live, ts.nvars)
+        assert states >= 300 and len(undivided) >= 10000
+        assert 300 <= sum(undivided) < len(undivided)
 
 
 class TestCompleteness:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from barjanet import (
+    BarCode,
     DimensionError,
     InputError,
     PointSet,
@@ -23,6 +24,7 @@ from barjanet import (
     normal_form,
     parse_points,
     parse_rational,
+    star_set,
 )
 import barjanet.points as points_module
 from barjanet.points import escalier_scan
@@ -67,6 +69,9 @@ class TestPointSet:
     def test_header_over_limit_rejected(self):
         with pytest.raises(TermSyntaxError):
             parse_points("vars: 1025\n1, 2\n")
+        # without a header each point's length implies the variable count
+        with pytest.raises(TermSyntaxError, match=r"\(line 2\)"):
+            parse_points("# one point\n" + ",".join(["0"] * (MAX_VARS + 1)) + "\n")
 
     def test_header_mismatch(self):
         with pytest.raises(DimensionError):
@@ -152,15 +157,37 @@ class TestMonomialGenerators:
 
     def test_generates_and_minimal(self):
         rng = random.Random(311)
-        from helpers import expanded_box, in_semigroup_ideal, random_order_ideal
+        from helpers import (
+            expanded_box,
+            grown_order_ideal,
+            in_semigroup_ideal,
+            random_order_ideal,
+        )
+
+        def pairwise_minimal_stars(N):
+            # the oracle: the divisibility-minimal elements of the star set
+            stars = star_set(BarCode.build(N))
+            return TermSet(
+                N.nvars, [s for s in stars if not any(u != s and u.divides(s) for u in stars)]
+            )
 
         for _ in range(60):
             N = random_order_ideal(rng, max_vars=3, max_exp=3)
             gens = monomial_generators(N)
+            assert gens == pairwise_minimal_stars(N)
             for a in gens:
                 assert not any(b != a and b.divides(a) for b in gens)
             for w in expanded_box(N, margin=1):
                 assert in_semigroup_ideal(gens, w) == (w not in N)
+        for nvars in (5, 6):
+            for _ in range(20):
+                N = grown_order_ideal(rng, nvars, rng.randint(1, 80))
+                assert monomial_generators(N) == pairwise_minimal_stars(N)
+        X = PointSet([tuple(F(rng.randint(-2, 2)) for _ in range(64)) for _ in range(3)])
+        N = groebner_escalier(X)
+        gens = monomial_generators(N)
+        assert len(N) == 3 and len(gens) > 64
+        assert gens == pairwise_minimal_stars(N)
 
 
 class TestNormalForm:
