@@ -338,9 +338,12 @@ class _LiveCompletion:
     The descent starts from row n+1 and reproduces w exactly on rows n..i, as
     t and the term that sets k_i are columns; below, it is _divisor_at's
     descent, so s is a divisor. A verdict thus depends only on w and on the
-    columns agreeing with w on x_i..x_n, and adding c changes those only when
-    c agrees with w there. Re-checking the obligations whose power changed,
-    those of c and those whose w agrees with c on x_i..x_n (by_bar) suffices.
+    columns agreeing with w on x_i..x_n. If c agrees with w there, t agrees
+    with c above x_i and c_i = w_i is the next x_i-exponent above t_i, so t
+    lies in the run with the largest x_i-value below c_i, inside the range
+    [lo, hi) that _insert bisects at row i; so do the terms whose k_i c
+    changes. _insert returns these obligations and c's own, the only ones
+    adding c can change.
     """
 
     def __init__(self, terms: TermSet):
@@ -348,7 +351,6 @@ class _LiveCompletion:
         self.exponents: list[list[int]] = [[] for _ in range(terms.nvars)]
         self.nmp: dict[Term, dict[int, int]] = {}
         self.checked: dict[tuple[Term, int], tuple[tuple[int, ...], Term | None]] = {}
-        self.by_bar: dict[tuple[int, tuple[int, ...]], set[tuple[Term, int]]] = {}
         self.failing: list = []
         for t in terms:
             self._insert(t)
@@ -357,12 +359,7 @@ class _LiveCompletion:
                 self._check(t, i)
 
     def add(self, c: Term) -> None:
-        changed = self._insert(c)
-        dirty = {(c, i) for i in self.nmp[c]}
-        dirty.update(changed)
-        for i in range(1, len(c.exponents) + 1):
-            dirty.update(self.by_bar.get((i, c.exponents[i - 1 :]), ()))
-        for t, i in dirty:
+        for t, i in self._insert(c):
             self._check(t, i)
 
     def next_failing(self) -> Term | None:
@@ -386,14 +383,16 @@ class _LiveCompletion:
         return tuple(out)
 
     def _insert(self, c: Term) -> list[tuple[Term, int]]:
-        """Place c among the columns and set its powers; return the (u, i)
-        whose x_i-power c changed.
+        """Place c among the columns and set its powers; return the
+        obligations c can change: (u, i) for u in each row's run below c_i,
+        then c's own.
 
         Going down from x_n, [lo, hi) are the columns agreeing with c above
-        x_i, sorted by x_i. Only a new x_i-value there changes a power: the
-        terms with the next smaller value now have their gap up to c_i.
+        x_i, sorted by x_i. The terms u with the largest value below c_i have
+        their x_i-power up to c_i: unchanged if c_i was present, set anew if
+        not, and either way their product agrees with c on x_i..x_n.
         """
-        changed = []
+        dirty = []
         own = {}
         lo, hi = 0, len(self.columns)
         for v in range(len(c.exponents) - 1, -1, -1):
@@ -403,32 +402,30 @@ class _LiveCompletion:
             b = bisect_right(exps, e, a, hi)
             if b < hi:
                 own[v + 1] = exps[b] - e
-            if a == b and a > lo:
+            if a > lo:
                 below = exps[a - 1]
                 for u in self.columns[bisect_left(exps, below, lo, a) : a]:
                     self.nmp[u][v + 1] = e - below
-                    changed.append((u, v + 1))
+                    dirty.append((u, v + 1))
             lo, hi = a, b
         self.columns.insert(lo, c)
         for exps, e in zip(self.exponents, c.exponents):
             exps.insert(lo, e)
         self.nmp[c] = own
-        return changed
+        dirty.extend((c, i) for i in own)
+        return dirty
 
     def _check(self, t: Term, i: int) -> None:
-        """Descend for obligation (t, i) afresh and queue it if it fails."""
-        key = (t, i)
-        old = self.checked.get(key)
-        if old is not None:
-            self.by_bar[(i, old[0][i - 1 :])].discard(key)
+        """Descend for obligation (t, i) afresh and queue it if it newly
+        fails; an unchanged failing record keeps its valid heap entry."""
         exps = list(t.exponents)
         exps[i - 1] += self.nmp[t][i]
         w = tuple(exps)
         col = descend_columns(self.exponents, 0, len(self.columns), len(w) + 1, w)
-        self.checked[key] = (w, None if col is None else self.columns[col])
-        self.by_bar.setdefault((i, w[i - 1 :]), set()).add(key)
-        if col is None:
+        record = (w, None if col is None else self.columns[col])
+        if col is None and self.checked.get((t, i)) != record:
             heappush(self.failing, (w[::-1], i, t))
+        self.checked[(t, i)] = record
 
 
 def janet_implies_janet_like(terms: TermSet, w: Term) -> bool:

@@ -419,10 +419,12 @@ class TestDescentCandidate:
         current = TermSet(nvars, live.columns)
         oracle = nmp_table_bruteforce(current)
         assert set(live.checked) == {(t, i) for t in current for i in oracle[t].nmp}
+        queued = set(live.failing)
         for (t, i), (w, s) in live.checked.items():
             assert Term(w) == t * Term.variable(nvars, i, oracle[t].nmp[i])
             expected = janet_like_divisors(current, Term(w), oracle)
             assert ((s,) if s is not None else ()) == expected
+            assert s is not None or (w[::-1], i, t) in queued
         return [s is None for _, s in live.checked.values()]
 
     def test_every_obligation_after_every_added_term(self):
@@ -436,6 +438,68 @@ class TestDescentCandidate:
                 undivided += self.assert_candidates_are_divisors(live, ts.nvars)
         assert states >= 300 and len(undivided) >= 10000
         assert 300 <= sum(undivided) < len(undivided)
+
+    def test_each_failing_obligation_is_queued_once(self):
+        for ts in live_sets():
+            live = _LiveCompletion(ts)
+            queued = len(live.failing)
+            for (t, i), (_, s) in list(live.checked.items()):
+                if s is None:
+                    live._check(t, i)
+            assert len(live.failing) == queued
+
+
+class TestRecheckSet:
+    """Adding c re-checks, each once, exactly the obligations whose product
+    agreed with c on x_i..x_n before the add, those whose power c changed
+    (by nmp_table of the set before and after) and c's own: the obligations
+    _LiveCompletion's docstring shows c can change."""
+
+    @staticmethod
+    def assert_rechecks(live, nvars, c):
+        agreeing = {
+            (t, i)
+            for (t, i), (w, _) in live.checked.items()
+            if w[i - 1 :] == c.exponents[i - 1 :]
+        }
+        before = nmp_table(TermSet(nvars, live.columns))
+        seen = []
+        live._check = lambda t, i: (seen.append((t, i)), type(live)._check(live, t, i))
+        live.add(c)
+        del live._check
+        after = nmp_table(TermSet(nvars, live.columns))
+        changed = {
+            (t, i)
+            for t, ann in before.items()
+            for i, k in after[t].nmp.items()
+            if ann.nmp.get(i) != k
+        }
+        own = {(c, i) for i in after[c].nmp}
+        assert len(seen) == len(set(seen))
+        assert set(seen) == agreeing | changed | own
+        return len(seen)
+
+    def test_completion_adds(self):
+        adds = rechecks = 0
+        for ts in live_sets():
+            live = _LiveCompletion(ts)
+            while (c := live.next_failing()) is not None:
+                rechecks += self.assert_rechecks(live, ts.nvars, c)
+                adds += 1
+        assert adds >= 300 and rechecks >= 3000
+
+    def test_arbitrary_adds(self):
+        # a completion add has no run below it at row 1, as a column there
+        # would divide it Janet-like; an arbitrary term can have one
+        rng = random.Random(193)
+        rechecks = 0
+        for ts in live_sets():
+            live = _LiveCompletion(ts)
+            for _ in range(5):
+                c = random_term(rng, ts.nvars, 9)
+                if c not in live.nmp:
+                    rechecks += self.assert_rechecks(live, ts.nvars, c)
+        assert rechecks >= 1000
 
 
 class TestCompleteness:
