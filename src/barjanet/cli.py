@@ -3,11 +3,13 @@
 Exit codes: 0 success, 1 parse or file error, 2 dimension or consistency error,
 3 incomplete set (check-complete only), 4 internal invariant violation.
 All output is deterministic; collections are emitted in lex order.
+The argparse parser is built once per process, on the first call to main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from operator import add
@@ -58,7 +60,9 @@ _TERM_COMMANDS = (
 _POINT_COMMANDS = ("escalier", "basis")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, shared by every call: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="barjanet",
         description=(

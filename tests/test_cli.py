@@ -1,3 +1,5 @@
+import argparse
+import importlib
 import io
 import json
 import os
@@ -481,3 +483,106 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{prefix}boom\n"
+
+
+def fresh_main(argv):
+    """main as a new process runs it: cli is executed anew, so the call gets
+    a freshly built parser and no state left by earlier calls."""
+    importlib.reload(cli)
+    return cli.main(argv)
+
+
+def outcome(run, argv, capsys, output=None):
+    """(exit code, stdout, stderr, --output file's text or None) of one call;
+    the file is removed, so the next call starts without it."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    written = None
+    if output is not None and output.exists():
+        written = output.read_text(encoding="utf-8")
+        output.unlink()
+    return code, captured.out, captured.err, written
+
+
+ORDER_IDEAL_FILE = "vars: 2\n1\nx1\nx2\nx1*x2\n"
+USAGE_ERRORS = [
+    [],
+    ["frob"],
+    ["nmp", "--format", "xml"],
+    ["nmp", "-", "stray"],
+    ["nmp", "--frob"],
+]
+
+
+class TestParserReuse:
+    """main builds its parser once per process. Every later call must behave
+    as the same command line does against a freshly built parser."""
+
+    def inputs(self, tmp_path):
+        terms = write(tmp_path, "u.terms", INCOMPLETE_FILE)
+        ideal = write(tmp_path, "ideal.terms", ORDER_IDEAL_FILE)
+        points = write(tmp_path, "u.points", POINTS_FILE)
+        paths = dict.fromkeys(cli._TERM_COMMANDS, terms)
+        paths.update({"star-set": ideal, "escalier": points, "basis": points})
+        return paths
+
+    def test_interleaved_flags_match_fresh_parser(self, tmp_path, capsys):
+        output = tmp_path / "out.txt"
+        flags = [["--format", "json"], ["--output", str(output)], ["--quiet"], ["-v"]]
+        calls = []
+        for command, path in self.inputs(tmp_path).items():
+            calls.append([command, path])
+            for flag in flags:
+                # each flag is absent from the call that follows it
+                calls += [[command, path, *flag], [command, path]]
+        shared = [outcome(main, argv, capsys, output) for argv in calls]
+        fresh = [outcome(fresh_main, argv, capsys, output) for argv in calls]
+        assert shared == fresh
+        assert sum(written is not None for *_, written in shared) == 9
+        assert {code for code, *_ in shared} == {0, 3}
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    def test_usage_errors_match_fresh_parser(
+        self, tmp_path, capsys, monkeypatch, columns
+    ):
+        monkeypatch.setenv("COLUMNS", columns)
+        path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
+        for argv in USAGE_ERRORS:
+            code, out, err, _ = outcome(main, argv, capsys)
+            assert (code, out) == (("SystemExit", 2), "")
+            assert err.startswith("usage: barjanet")
+            assert re.match(r"barjanet( [\w-]+)?: error: ", err.splitlines()[-1])
+            assert (code, out, err, None) == outcome(fresh_main, argv, capsys)
+            assert main(["check-complete", path]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == "complete"
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    def test_help_matches_fresh_parser(self, tmp_path, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(["nmp", write(tmp_path, "u.terms", SIX_TERMS_FILE)]) == 0
+        capsys.readouterr()
+        helps = [["-h"], ["--help"], ["complete", "--help"]]
+        shared = [outcome(main, argv, capsys) for argv in helps]
+        for code, out, err, _ in shared:
+            assert (code, err) == (("SystemExit", 0), "")
+            assert out.startswith("usage: barjanet")
+        assert shared == [outcome(fresh_main, argv, capsys) for argv in helps]
+
+    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        inputs = list(self.inputs(tmp_path).items())
+        assert main(list(inputs[0])) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(list(inputs[k % len(inputs)])) for k in range(50)]
+        capsys.readouterr()
+        assert set(codes) == {0, 3}
+        assert built == []
