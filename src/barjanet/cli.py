@@ -47,6 +47,7 @@ EXIT_INCOMPLETE = 3
 EXIT_INTERNAL = 4
 
 MAX_BASIS_POINTS = 250  # basis is O(m^3) in the points; README gives timings
+_BOM = "\ufeff"  # the byte-order mark some editors write at the start of a file
 
 _TERM_COMMANDS = (
     "render",
@@ -102,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_input(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            return sys.stdin.read().removeprefix(_BOM)
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix(_BOM)
     except UnicodeDecodeError as exc:
         raise TermSyntaxError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
 

@@ -7,10 +7,10 @@ Conventions used throughout the package:
 * the order is lex induced by x_1 < x_2 < ... < x_n, i.e. the highest
   differing variable decides.
 
-Term-set lines take two routes: read_term_line reads a product line such as
-x1^2*x3 with two regular expressions, and hands every other line (and any
-index out of range, number over 18 digits or exponent over the cap) to
-parse_term, the only source of TermSyntaxError and the fast route's oracle.
+Term-set lines take two routes: a product line such as x1^2*x3 is split on "*",
+and each distinct piece of a file is matched once as one factor (_read_line);
+every other line, and any index out of range, number over 18 digits or exponent
+over the cap, goes to parse_term, the only source of TermSyntaxError and the oracle.
 """
 
 from __future__ import annotations
@@ -343,20 +343,30 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
 _VARS_HEADER = re.compile(r"^vars\s*:\s*(\d+)\s*$")
 _VAR_INDEX = re.compile(r"x\s*(\d+)")
 # parse_term's product grammar: on str, \d is isdecimal and \s is isspace
-_FACTOR = re.compile(r"x\s*(\d+)(?:\s*\^\s*(\d+))?")
-_PRODUCT_LINE = re.compile(rf"\s*{_FACTOR.pattern}(?:\s*\*\s*{_FACTOR.pattern})*\s*")
+_PIECE = re.compile(r"\s*x\s*(\d{1,18})(?:\s*\^\s*(\d{1,18}))?\s*")  # one factor
+_MAX_PIECES = 4096  # four powers of each of MAX_VARS variables, in about 0.7 MB
 
 
 def read_term_line(text: str, nvars: int, line: int | None = None) -> Term:
     """parse_term(text, nvars, line), reading a product line without it."""
-    if _PRODUCT_LINE.fullmatch(text) is None:
-        return parse_term(text, nvars, line)
+    return _read_line(text, nvars, line, {})
+
+
+def _read_line(text: str, nvars: int, line: int | None, pieces: dict) -> Term:
+    """read_term_line; pieces maps a piece read before to its (index - 1, power)."""
     exps = [0] * nvars
-    for index, power in _FACTOR.findall(text):
-        i = int(index) - 1 if len(index) <= 18 else -1
-        if not 0 <= i < nvars or len(power) > 18:
-            return parse_term(text, nvars, line)
-        exps[i] += int(power) if power else 1
+    for piece in text.split("*"):
+        if piece in pieces:
+            i, power = pieces[piece]
+        else:
+            m = _PIECE.fullmatch(piece)
+            i = int(m[1]) - 1 if m else -1
+            if not 0 <= i < nvars:
+                return parse_term(text, nvars, line)
+            power = int(m[2] or 1)
+            if len(pieces) < _MAX_PIECES:
+                pieces[piece] = (i, power)
+        exps[i] += power
     return Term(exps) if max(exps) <= MAX_EXPONENT else parse_term(text, nvars, line)
 
 
@@ -427,5 +437,6 @@ def parse_term_set(text: str) -> TermSet:
         else:
             nvars = max(max_index, 1)
 
-    terms = [read_term_line(body, nvars, line_no) for line_no, body in content]
+    pieces: dict[str, tuple[int, int]] = {}
+    terms = [_read_line(body, nvars, line_no, pieces) for line_no, body in content]
     return TermSet(nvars, terms)

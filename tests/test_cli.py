@@ -418,6 +418,71 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 README_COMMAND = re.compile(r"\$ printf '((?:[^'%\\]|\\n)*)' \| barjanet (.+)")
 
 
+BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
+
+
+def run_on_bytes(capsys, monkeypatch, argv, content):
+    """main(argv) with content as stdin: (exit code, stdout, stderr)."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestByteOrderMark:
+    """One leading byte-order mark is dropped from a file or stdin; any other
+    U+FEFF is text, and a parse error."""
+
+    CASES = [
+        ("check-complete", INCOMPLETE_FILE),
+        ("check-complete", INCOMPLETE_FILE.replace("\n", "\r\n")),
+        ("nmp", SIX_TERMS_FILE),
+        ("complete", "x2\nx1*x3\n"),
+        ("render", "[0,1,0]\n"),
+        ("escalier", POINTS_FILE),
+        ("basis", "0,0\n1,0\n0,1\n"),
+    ]
+
+    @pytest.mark.parametrize("command,content", CASES)
+    def test_file_reads_as_without_it(self, tmp_path, capsys, command, content):
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(content.encode())
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(BOM + content.encode())
+        code = main([command, str(plain)])
+        expected = capsys.readouterr()
+        assert main([command, str(marked)]) == code
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("command,content", CASES)
+    def test_stdin_reads_as_without_it(self, capsys, monkeypatch, command, content):
+        expected = run_on_bytes(capsys, monkeypatch, [command, "-"], content.encode())
+        assert run_on_bytes(capsys, monkeypatch, [command, "-"], BOM + content.encode()) == expected
+
+    def test_readme_example(self, capsys, monkeypatch):
+        content = BOM + b"vars: 3\r\nx2\r\nx1*x3\r\n"
+        assert run_on_bytes(capsys, monkeypatch, ["check-complete", "-"], content) == (
+            3, "incomplete\nmissing divisor: x2 * x3 = x2*x3\n", ""
+        )
+
+    @pytest.mark.parametrize(
+        "command,content,message",
+        [
+            ("nmp", "vars: 3\n\ufeffx2\n", "expected a factor like x2 or x2^3 (line 2, column 1)"),
+            ("nmp", "\ufeff\ufeffvars: 3\nx2\n", "expected a factor like x2 or x2^3 (line 1, column 1)"),
+            ("nmp", "\ufeffvars: 3\nx1*\ufeffx2\n", "expected a factor like x2 or x2^3 (line 2, column 4)"),
+            ("nmp", "\ufeffx1\ufeff\n", "unexpected character (line 1, column 3)"),
+            ("escalier", "0,0\n\ufeff1,0\n", "not an exact rational: '\\ufeff1' (line 2)"),
+            ("basis", "\ufeff\ufeff0,0\n1,0\n", "not an exact rational: '\\ufeff0' (line 1)"),
+        ],
+    )
+    def test_any_other_is_a_parse_error(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content.encode())
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def readme_examples():
     """(stdin, argv, expected stdout) of each `$ printf ... | barjanet ...`
     line of the README; its output runs to the next `$` line or fence."""

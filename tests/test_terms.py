@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
-from barjanet.terms import format_exponents, read_term_line
+from barjanet.terms import _read_line, format_exponents, read_term_line
 from helpers import random_term
 
 
@@ -318,3 +319,119 @@ class TestLineReader:
             f"exponent of x2 exceeds the cap {MAX_EXPONENT} (line 3, column 16)"
         )
 
+
+def set_outcome(text):
+    """The term set parse_term_set reads, or its error's message, position
+    and line."""
+    try:
+        return parse_term_set(text)
+    except TermSyntaxError as exc:
+        return (str(exc), exc.position, exc.line)
+
+
+def oracle_set_outcome(lines, nvars):
+    """set_outcome of lines under a "vars: nvars" header, each line read by
+    parse_term on its own."""
+    terms = []
+    for line_no, raw in enumerate(lines, 2):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            try:
+                terms.append(parse_term(body, nvars, line_no))
+            except TermSyntaxError as exc:
+                return (str(exc), exc.position, exc.line)
+    return TermSet(nvars, terms)
+
+
+def term_file(lines, nvars):
+    return f"vars: {nvars}\n" + "\n".join(lines) + "\n"
+
+
+# Files whose pieces repeat: across lines, in whitespace variants, and as
+# lines that are not products ("1", exponent lists) read by parse_term.
+REPEATING_FILES = [
+    (["x2^3", " x2^3", "x2^3\t", "x2 ^ 3", "x 2^3", "x1*x2^3", "x1 * x2^3 ", "x2^3*x1"], 3),
+    (["[0,1,0]", "x3", "[0,1,0]", "x3*x1", "x1^2*x1^2", "x1^4"], 3),
+    (["1", "x2", "1", "x2*x3"], 3),
+    (["x1*x2", "x1*x2*x9", "x1"], 3),
+    (["x3^2*x1", "x2*x2", f"x1^{MAX_EXPONENT}", f"x1^{MAX_EXPONENT}*x1"], 3),
+    (["x1^" + "9" * 19, "x1^2"], 2),
+    ([format_term(random_term(random.Random(k), 4, 3)) for k in range(60)], 4),
+]
+
+
+class TestPieceDict:
+    """parse_term_set reads each distinct piece of a file once, through a dict
+    of the call keyed by the piece's exact text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(PRODUCT, ANY_LINE), max_size=8), st.integers(1, 4))
+    def test_agrees_with_parse_term_line_by_line(self, lines, nvars):
+        lines = lines + lines[::-1]
+        assert set_outcome(term_file(lines, nvars)) == oracle_set_outcome(lines, nvars)
+
+    @pytest.mark.parametrize("lines,nvars", REPEATING_FILES)
+    def test_repeating_files_agree_with_parse_term(self, lines, nvars):
+        assert set_outcome(term_file(lines, nvars)) == oracle_set_outcome(lines, nvars)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_cap_does_not_change_results(self, monkeypatch, cap):
+        expected = [set_outcome(term_file(lines, nvars)) for lines, nvars in REPEATING_FILES]
+        monkeypatch.setattr("barjanet.terms._MAX_PIECES", cap)
+        got = [set_outcome(term_file(lines, nvars)) for lines, nvars in REPEATING_FILES]
+        assert got == expected
+
+    def test_keys_are_the_exact_pieces_read(self):
+        pieces = {}
+        for line in REPEATING_FILES[0][0]:
+            _read_line(line, 3, None, pieces)
+        read = {"x2^3", " x2^3", "x2^3\t", "x2 ^ 3", "x 2^3", "x1", "x1 ", " x2^3 "}
+        assert set(pieces) == read
+        assert {pieces[p] for p in read - {"x1", "x1 "}} == {(1, 3)}
+        # a piece that parse_term reads or rejects is never kept
+        for line in ["1", "[0,1,0]", " x4", "x^2", "x1^" + "9" * 19, "x\ufeff1"]:
+            read_outcome(lambda *args: _read_line(*args, pieces), line, 3)
+        assert set(pieces) == read
+
+    def test_later_call_with_fewer_variables(self):
+        assert parse_term_set("vars: 3\nx3\n") == TermSet(3, [t(0, 0, 1)])
+        with pytest.raises(TermSyntaxError) as info:
+            parse_term_set("vars: 2\nx3\n")
+        assert info.value.line == 2
+        assert str(info.value) == "variable index 3 exceeds 2 variables (line 2, column 2)"
+
+    def test_product_lines_skip_parse_term(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fell back to parse_term")
+
+        lines = ["x1", "x3^12*x1", " x2 ^ 3 * x\t2\t", f"x1^{MAX_EXPONENT}", "x\u0663^\u0662",
+                 "x1", "x3^12 * x1"]
+        expected = TermSet(3, [parse_term(line, 3) for line in lines])
+        monkeypatch.setattr("barjanet.terms.parse_term", refuse)
+        assert parse_term_set(term_file(lines, 3)) == expected
+
+    def test_distinct_pieces_stay_within_the_cap(self):
+        """Every piece of this file is new. The pieces kept are bounded, so the
+        peak stays near that of reading each line on its own, which keeps no
+        piece past its line: the same peak as a cap of 0, and a quarter of the
+        peak of keeping every piece."""
+        rng = random.Random(3)
+        columns = [rng.sample(range(2, 10**6), 200) for _ in range(MAX_VARS)]
+        text = f"vars: {MAX_VARS}\n" + "".join(
+            "*".join(f"x{v}^{column[k]}" for v, column in enumerate(columns, 1)) + "\n"
+            for k in range(200)
+        )
+
+        def peak(parse):
+            tracemalloc.start()
+            try:
+                parse()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def line_by_line():
+            lines = enumerate(text.splitlines()[1:], 2)
+            return TermSet(MAX_VARS, [read_term_line(body, MAX_VARS, k) for k, body in lines])
+
+        assert peak(lambda: parse_term_set(text)) <= 1.2 * peak(line_by_line)
