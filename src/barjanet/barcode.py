@@ -6,6 +6,11 @@ row i group consecutive columns whose terms share the projection pi^i (the
 exponents of x_i..x_n). Row 1 therefore always consists of m unit bars, every
 row's 1-lengths sum to m, and the bars of row i refine the bars of row i+1.
 
+A bar code stores one depth per pair of neighbouring columns: the highest
+variable where their labels differ. Row i has a bar boundary there exactly
+when the depth is at least i, starred exactly when it exceeds i (the last
+bar of a row always is). Rows, stars and powers all read off the depths.
+
 The geometry alone determines a canonical labeling (see canonical_labels):
 the j-th bar of row n stands for x_n^(j-1) and, inside each block, the k-th
 bar above a bar labeled t stands for t*x_(i)^(k-1). A bar code built from a
@@ -19,6 +24,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter, ne, sub
 from typing import Sequence
 
 from .errors import (
@@ -68,56 +75,32 @@ class StarPlacement:
 class BarCode:
     """Immutable bar code; rows, bars and columns are indexed from 1."""
 
-    __slots__ = ("_nvars", "_lengths", "_starts", "_colbar", "_labels", "_index", "_columns")
+    __slots__ = ("_nvars", "_depths", "_labels", "_bounds", "_index", "_columns")
 
-    def __init__(self, lengths, labels, _internal=False):
+    def __init__(self, nvars, depths, labels, _internal=False):
         if not _internal:
             raise TypeError("use BarCode.build or BarCode.from_lengths")
-        self._nvars = len(lengths)
-        self._lengths = lengths
-        starts = []
-        colbar = []
-        for row in lengths:
-            row_starts = []
-            row_colbar = []
-            col = 1
-            for j, ell in enumerate(row, 1):
-                row_starts.append(col)
-                row_colbar.extend([j] * ell)
-                col += ell
-            starts.append(tuple(row_starts))
-            colbar.append(tuple(row_colbar))
-        self._starts = tuple(starts)
-        self._colbar = tuple(colbar)
+        self._nvars = nvars
+        self._depths = depths
         self._labels = labels
+        self._bounds = None
         self._index = None
         self._columns = None
 
     @classmethod
     def build(cls, terms: TermSet) -> BarCode:
-        """Bar code of a finite term set.
-
-        Row i's bars are the maximal runs of columns with equal pi^i over the
-        lex-sorted terms; sorting makes such runs contiguous because pi^i is
-        exactly the part of the exponent vector that lex compares first.
-        """
+        """Bar code of a finite term set. Lex order compares exponents from
+        x_n down, so the sorted terms of equal pi^i are contiguous (row i's
+        bars), and the depth of two neighbours is n minus the first position
+        where their reversed exponent tuples differ (one does)."""
         if len(terms) == 0:
             raise EmptyInputError("cannot build a bar code from an empty set")
-        sorted_terms = terms.terms
         n = terms.nvars
-        lengths = []
-        for i in range(1, n + 1):
-            row = []
-            run = 1
-            for prev, cur in zip(sorted_terms, sorted_terms[1:]):
-                if prev.exponents[i - 1 :] == cur.exponents[i - 1 :]:
-                    run += 1
-                else:
-                    row.append(run)
-                    run = 1
-            row.append(run)
-            lengths.append(tuple(row))
-        return cls(tuple(lengths), sorted_terms, _internal=True)
+        rev = [t.exponents[::-1] for t in terms.terms]
+        depths = tuple(
+            n - list(map(ne, prev, cur)).index(True) for prev, cur in zip(rev, rev[1:])
+        )
+        return cls(n, depths, terms.terms, _internal=True)
 
     @classmethod
     def from_lengths(
@@ -134,16 +117,16 @@ class BarCode:
         rows = tuple(tuple(int(ell) for ell in row) for row in lengths)
         if not rows:
             raise EmptyInputError("a bar code needs at least one row")
-        _check_structure(rows)
+        depths = _depths_of_rows(rows)
         if labels is None:
-            bc = cls(rows, None, _internal=True)
+            bc = cls(len(rows), depths, None, _internal=True)
             bc._labels = canonical_labels(bc)
             return bc
         terms = TermSet(len(rows), labels)
         if len(terms) != len(labels) or len(terms) != len(rows[0]):
             raise InputError("labels must be distinct, one per column")
         rebuilt = cls.build(terms)
-        if rebuilt._lengths != rows:
+        if rebuilt._depths != depths:
             raise InputError("labels are inconsistent with the bar structure")
         return rebuilt
 
@@ -153,7 +136,7 @@ class BarCode:
 
     @property
     def ncols(self) -> int:
-        return len(self._colbar[0])
+        return len(self._depths) + 1
 
     @property
     def labels(self) -> tuple[Term, ...]:
@@ -161,27 +144,25 @@ class BarCode:
 
     def mu(self, row: int) -> int:
         """Number of bars in the given row."""
-        self._check_row(row)
-        return len(self._lengths[row - 1])
+        return len(self._bar_bounds(row)) - 1
 
     def one_lengths(self, row: int) -> tuple[int, ...]:
-        self._check_row(row)
-        return self._lengths[row - 1]
+        bounds = self._bar_bounds(row)
+        return tuple(map(sub, bounds[1:], bounds))
 
     def bar_of_column(self, row: int, col: int) -> int:
         """Index of the bar of the given row lying under column col."""
-        self._check_row(row)
+        bounds = self._bar_bounds(row)
         if not 1 <= col <= self.ncols:
             raise DimensionError(f"column {col} outside 1..{self.ncols}")
-        return self._colbar[row - 1][col - 1]
+        return bisect_right(bounds, col)
 
     def bar_span(self, row: int, bar: int) -> tuple[int, int]:
         """First and last column covered by the given bar."""
-        self._check_row(row)
-        if not 1 <= bar <= self.mu(row):
-            raise DimensionError(f"bar {bar} outside 1..{self.mu(row)}")
-        first = self._starts[row - 1][bar - 1]
-        return first, first + self._lengths[row - 1][bar - 1] - 1
+        bounds = self._bar_bounds(row)
+        if not 1 <= bar < len(bounds):
+            raise DimensionError(f"bar {bar} outside 1..{len(bounds) - 1}")
+        return bounds[bar - 1], bounds[bar] - 1
 
     def label_of_bar(self, row: int, bar: int) -> Term:
         """Leftmost column label over the given bar."""
@@ -204,14 +185,23 @@ class BarCode:
             self._columns = tuple(zip(*(t.exponents for t in self._labels)))
         return self._columns
 
-    def _check_row(self, row: int) -> None:
+    def _bar_bounds(self, row: int) -> tuple[int, ...]:
+        """First column of each bar of the row, then ncols + 1. Derived from
+        the depths for every row on first use, like exponent_columns."""
         if not 1 <= row <= self._nvars:
             raise DimensionError(f"row {row} outside 1..{self._nvars}")
+        if self._bounds is None:
+            self._bounds = tuple(
+                (1, *(c for c, d in enumerate(self._depths, 2) if d >= i), self.ncols + 1)
+                for i in range(1, self._nvars + 1)
+            )
+        return self._bounds[row - 1]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BarCode)
-            and self._lengths == other._lengths
+            and self._nvars == other._nvars
+            and self._depths == other._depths
             and self._labels == other._labels
         )
 
@@ -219,6 +209,31 @@ class BarCode:
 
     def __repr__(self) -> str:
         return f"BarCode(vars={self._nvars}, cols={self.ncols})"
+
+
+def next_bars(bc: BarCode) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """Entry c: one (i, e, lo, hi) per row i where the bar under the 0-based
+    column c is unstarred, by increasing i; the next i-bar covers the columns
+    [lo, hi), all of x_i-exponent e. The bar ends at the first boundary at
+    or after c of depth d >= i, and it is unstarred exactly when d = i. So,
+    right to left, the boundary right of c gives row d a record and the rows
+    below d a star, while the rows above d keep column c + 1's records.
+    """
+    labels, depths, m = bc.labels, bc._depths, bc.ncols
+    out = [()] * m
+    # the boundaries right of c with no deeper one nearer to c, nearest last;
+    # past the shallower ones lies the first of depth >= d, where the d-bar ends
+    ends: list[int] = []
+    for c in range(m - 2, -1, -1):
+        d = depths[c]
+        while ends and depths[ends[-1]] < d:
+            ends.pop()
+        hi = ends[-1] + 1 if ends else m
+        ends.append(c)
+        own = (d, labels[c + 1].exponents[d - 1], c + 1, hi)
+        kept = out[c + 1][bisect_right(out[c + 1], d, key=itemgetter(0)) :]
+        out[c] = (own, *kept)
+    return out
 
 
 def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int | None:
@@ -238,7 +253,9 @@ def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int | None
     return lo
 
 
-def _check_structure(rows: tuple[tuple[int, ...], ...]) -> None:
+def _depths_of_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Depths of valid rows' boundaries: row 1 has one of depth 1 between any
+    two columns, and each row's must lie on the row below's, one deeper."""
     ncols = sum(rows[0])
     for row in rows:
         if any(ell < 1 for ell in row):
@@ -247,18 +264,15 @@ def _check_structure(rows: tuple[tuple[int, ...], ...]) -> None:
             raise InputError("all rows must sum to the same number of columns")
     if any(ell != 1 for ell in rows[0]):
         raise InputError("row 1 must consist of unit bars")
-
-    def boundaries(row):
-        acc = 0
-        out = set()
-        for ell in row[:-1]:
-            acc += ell
-            out.add(acc)
-        return out
-
-    for upper, lower in zip(rows, rows[1:]):
-        if not boundaries(lower) <= boundaries(upper):
-            raise InputError("every bar must lie inside a single bar of the row below")
+    if ncols == 0:
+        raise EmptyInputError("a bar code needs at least one column")
+    depths = [1] * (ncols - 1)
+    for below, row in enumerate(rows[1:], 1):
+        for col in accumulate(row[:-1]):  # the boundary right of column col
+            if depths[col - 1] != below:
+                raise InputError("every bar must lie inside a single bar of the row below")
+            depths[col - 1] = below + 1
+    return tuple(depths)
 
 
 def canonical_labels(bc: BarCode) -> tuple[Term, ...]:
@@ -300,15 +314,14 @@ def is_admissible(bc: BarCode) -> bool:
 
 def star_positions(bc: BarCode) -> StarPlacement:
     """Stars after bars: the last bar of every row, and between consecutive
-    bars of a row that lie over different bars of the row below."""
-    stars = {(i, len(starts)) for i, starts in enumerate(bc._starts, 1)}
-    for i, (starts, below) in enumerate(zip(bc._starts, bc._colbar[1:]), 1):
-        # bar j ends at column starts[j] - 1 and bar j + 1 begins at starts[j]
-        stars.update(
-            (i, j)
-            for j, first in enumerate(starts[1:], 1)
-            if below[first - 2] != below[first - 1]
-        )
+    bars of a row that lie over different bars of the row below, where the
+    boundary between them is deeper than the row."""
+    stars = set()
+    depths = bc._depths  # of row i's boundaries, the ones of depth >= i
+    for i in range(1, bc.nvars + 1):
+        stars.update((i, j) for j, d in enumerate(depths, 1) if d > i)
+        stars.add((i, len(depths) + 1))
+        depths = [d for d in depths if d > i]
     return StarPlacement(frozenset(stars))
 
 
@@ -358,16 +371,17 @@ def render_ascii(bc: BarCode, stars: StarPlacement | None = None) -> str:
     widths = [len(s) for s in label_strs]
     lines = [" ".join(label_strs)]
     starred = frozenset() if stars is None else stars.stars
-    for i, (starts, row) in enumerate(zip(bc._starts, bc._lengths), 1):
+    for i in range(1, bc.nvars + 1):
+        bounds = bc._bar_bounds(i)
         pieces = [
-            "-" * (sum(widths[first - 1 : first - 1 + ell]) + ell - 1)
-            for first, ell in zip(starts, row)
+            "-" * (sum(widths[first - 1 : end - 1]) + end - first - 1)
+            for first, end in zip(bounds, bounds[1:])
         ]
         line = pieces[0] + "".join(
             ("*" if (i, j) in starred else " ") + piece
             for j, piece in enumerate(pieces[1:], 1)
         )
-        if (i, len(row)) in starred:
+        if (i, len(pieces)) in starred:
             line += " *"
         lines.append(line)
     return "\n".join(lines)

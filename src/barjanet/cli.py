@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 from operator import add
+from pathlib import Path
 from typing import Iterator
 
 from .barcode import (
@@ -101,11 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
+    """The file or stdin as strict UTF-8, less one byte-order mark. Both are
+    read as bytes: a text stdin would decode with surrogateescape."""
+    if path == "-" and sys.stdin is None:
+        raise OSError("standard input is closed")
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        if path == "-":
-            return sys.stdin.read().removeprefix(_BOM)
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read().removeprefix(_BOM)
+        return data.decode("utf-8").removeprefix(_BOM)
     except UnicodeDecodeError as exc:
         raise TermSyntaxError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
 

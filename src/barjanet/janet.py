@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 
-from .barcode import BarCode, descend_columns, star_positions
+from .barcode import BarCode, descend_columns, next_bars, star_positions
 from .errors import (
     CompletionBoundError,
     EmptyInputError,
@@ -132,32 +132,17 @@ def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, JanetAnno
     """Annotations for every term, read off the bar code.
 
     A missing star after the row-i bar under t means x_i is
-    nonmultiplicative, and then the gap to any label over the next i-bar
-    (all share the i-exponent; the leftmost is used) is the power k_i.
+    nonmultiplicative, and then the gap to the x_i-exponent shared by the
+    labels over the next i-bar is the power k_i (see next_bars).
     """
     if len(terms) == 0:
         raise EmptyInputError("cannot annotate an empty set")
     if bc is None:
         bc = BarCode.build(terms)
-    stars, labels = star_positions(bc).stars, bc.labels
-    # per row, per column: the x_i-exponent of the leftmost label over the
-    # next bar, or None where the column's bar is starred (the last always is)
-    above = []
-    for i, (starts, colbar) in enumerate(zip(bc._starts, bc._colbar), 1):
-        nxt = [None] * (len(starts) + 1)
-        for j, first in enumerate(starts[1:], 1):
-            if (i, j) not in stars:
-                nxt[j] = labels[first - 1].exponents[i - 1]
-        above.append([nxt[j] for j in colbar])
-    table: dict[Term, JanetAnnotation] = {}
-    for t, column in zip(labels, zip(*above)):
-        nmp = {
-            i: e - g
-            for i, (e, g) in enumerate(zip(column, t.exponents), 1)
-            if e is not None
-        }
-        table[t] = JanetAnnotation(t, nmp)
-    return table
+    return {
+        t: JanetAnnotation(t, {i: e - t.exponents[i - 1] for i, e, _, _ in bars})
+        for t, bars in zip(bc.labels, next_bars(bc))
+    }
 
 
 def nmp_table_bruteforce(terms: TermSet) -> dict[Term, JanetAnnotation]:
@@ -241,28 +226,26 @@ def divisors_for_nm_product(
     i = p.min_variable()
     if i is None or any(p.exponents[i:]):
         raise ValueError(f"{p} is not a pure power")
-    k = p.exponents[i - 1]
-    if table[t].nmp.get(i) != k:
+    if table[t].nmp.get(i) != p.exponents[i - 1]:
         raise ValueError(f"{p} is not a nonmultiplicative power of {t}")
-    s = _divisor_at(bc, bc.column_of(t) - 1, i, k)
+    col = bc.column_of(t) - 1
+    _, _, lo, hi = next(bar for bar in next_bars(bc)[col] if bar[0] == i)
+    s = _divisor_at(bc, t, i, lo, hi)
     return () if s is None else (s,)
 
 
-def _divisor_at(bc: BarCode, col: int, i: int, k: int) -> Term | None:
-    """The Janet-like divisor of w = t*x_i^k, t the label of the 0-based column
-    col and x_i^k its power: the column the descent from the i-bar next to
-    t's reaches, or None. That candidate s divides w Janet-like:
+def _divisor_at(bc: BarCode, t: Term, i: int, lo: int, hi: int) -> Term | None:
+    """The Janet-like divisor of w = t*x_i^(k_i), for the next i-bar [lo, hi)
+    of t (0-based columns): the column the descent from that bar reaches, or
+    None; w agrees with t below x_i, so t's exponents bound the descent.
+    That candidate s divides w Janet-like:
     - the next i-bar holds the columns agreeing with w on x_i..x_n, so s
       agrees with w there and w/s has no x_i..x_n part;
     - below row i each pick is the largest exponent not above w_l, so s | w;
     - the next bar over the same parent sets s's x_l-power and its exponent
       exceeds w_l, so w_l - s_l is below that power (if x_l has one).
     """
-    w = list(bc.labels[col].exponents)
-    w[i - 1] += k
-    bar = bc._colbar[i - 1][col]  # 1-based index of t's bar: 0-based of the next
-    lo = bc._starts[i - 1][bar] - 1
-    c = descend_columns(bc.exponent_columns(), lo, lo + bc._lengths[i - 1][bar], i, w)
+    c = descend_columns(bc.exponent_columns(), lo, hi, i, t.exponents)
     return None if c is None else bc.labels[c]
 
 
@@ -277,12 +260,11 @@ def is_complete(terms: TermSet) -> CompletionReport:
     if len(terms) == 0:
         raise EmptyInputError("completeness is defined for nonempty sets")
     bc = BarCode.build(terms)
-    table = nmp_table(terms, bc)
     power = _powers(terms.nvars)
     witnesses = tuple(
-        Witness(t, power(i, k), _divisor_at(bc, col, i, k))
-        for col, t in enumerate(bc.labels)
-        for i, k in sorted(table[t].nmp.items())
+        Witness(t, power(i, e - t.exponents[i - 1]), _divisor_at(bc, t, i, lo, hi))
+        for t, bars in zip(bc.labels, next_bars(bc))
+        for i, e, lo, hi in bars
     )
     return CompletionReport(all(w.divisor is not None for w in witnesses), witnesses)
 

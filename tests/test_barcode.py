@@ -178,6 +178,10 @@ class TestFromLengths:
         bc = BarCode.from_lengths([[1, 1], [2]], labels=[t(0, 0), t(1, 0)])
         assert decode(bc) == TermSet(2, [t(0, 0), t(1, 0)])
 
+    def test_rejects_zero_columns(self):
+        with pytest.raises(EmptyInputError, match="at least one column"):
+            BarCode.from_lengths([[], []])
+
 
 class TestAdmissibility:
     def test_order_ideal_is_admissible(self):
@@ -216,6 +220,26 @@ class TestStars:
 
     def test_simplex_has_six_stars(self):
         assert len(star_positions(BarCode.build(SIMPLEX))) == 6
+
+    def test_definition_on_random_sets(self):
+        # a star follows bar j of row i when pi^(i+1) changes between its last
+        # column and the next bar's first, or when j is the last bar; the bars
+        # are the runs of equal pi^i, read off the sorted terms alone
+        rng = random.Random(337)
+        non_ideals = 0
+        for _ in range(200):
+            ts = random_term_set(rng, max_vars=5, max_terms=30, max_exp=4)
+            non_ideals += not ts.is_order_ideal()
+            cols = [u.exponents for u in ts.terms]
+            expected = set()
+            for i in range(1, ts.nvars + 1):
+                ends = [c for c in range(1, len(cols)) if cols[c - 1][i - 1 :] != cols[c][i - 1 :]]
+                for j, c in enumerate(ends, 1):
+                    if cols[c - 1][i:] != cols[c][i:]:
+                        expected.add((i, j))
+                expected.add((i, len(ends) + 1))
+            assert star_positions(BarCode.build(ts)).stars == expected
+        assert non_ideals >= 150
 
 
 class TestStarSet:

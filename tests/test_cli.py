@@ -339,10 +339,7 @@ class TestErrorsAndPlumbing:
         assert captured.err.startswith("error: input is not UTF-8")
 
     def test_non_utf8_stdin_exit_one(self, capsys, monkeypatch):
-        import io
-
-        stdin = io.TextIOWrapper(io.BytesIO(b"x1\n\xff\n"), encoding="utf-8")
-        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdin", bytes_stdin(b"x1\n\xff\n"))
         assert main(["nmp", "-"]) == 1
         assert capsys.readouterr().err.startswith("error: input is not UTF-8")
 
@@ -379,9 +376,7 @@ class TestErrorsAndPlumbing:
         assert captured.err.startswith("error: ")
 
     def test_stdin(self, tmp_path, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(SIX_TERMS_FILE))
+        monkeypatch.setattr("sys.stdin", bytes_stdin(SIX_TERMS_FILE.encode()))
         assert main(["check-complete", "-"]) == 0
 
     def test_deterministic_output(self, tmp_path, capsys):
@@ -393,24 +388,45 @@ class TestErrorsAndPlumbing:
         assert len(outputs) == 1
 
     def test_python_dash_m(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "barjanet", "check-complete", "-"],
-            input=INCOMPLETE_FILE,
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_module(["check-complete", "-"], input=INCOMPLETE_FILE.encode())
         assert proc.returncode == 3
-        assert proc.stdout.splitlines() == [
+        assert proc.stdout.decode().splitlines() == [
             "incomplete",
             "missing divisor: x2 * x3 = x2*x3",
         ]
+
+    def test_non_utf8_process_stdin_exit_one(self):
+        # a process's own text stdin would decode with surrogateescape, so
+        # the bytes are read and decoded strictly, as for a file
+        proc = run_module(["nmp", "-"], input=b"vars: 1\nx1\n# caf\xe9\n")
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr.decode() == "error: input is not UTF-8: invalid continuation byte at byte 16\n"
+
+    def test_closed_stdin_exit_one(self):
+        proc = run_module(
+            ["nmp", "-"], stdin=subprocess.DEVNULL, preexec_fn=lambda: os.close(0)
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: standard input is closed\n"
+
+
+def run_module(argv, **kwargs):
+    """python -m barjanet argv in a child process, on this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "barjanet", *argv],
+        capture_output=True,
+        env=env,
+        timeout=60,
+        **kwargs,
+    )
+
+
+def bytes_stdin(content: bytes):
+    """A stdin like a process's: text over a binary buffer of the content."""
+    return io.TextIOWrapper(io.BytesIO(content), encoding="utf-8")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -423,7 +439,7 @@ BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
 
 def run_on_bytes(capsys, monkeypatch, argv, content):
     """main(argv) with content as stdin: (exit code, stdout, stderr)."""
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(content), encoding="utf-8"))
+    monkeypatch.setattr("sys.stdin", bytes_stdin(content))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -510,7 +526,7 @@ class TestReadmeExamples:
 
     @pytest.mark.parametrize("stdin,argv,expected", readme_examples())
     def test_example_output(self, capsys, monkeypatch, stdin, argv, expected):
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        monkeypatch.setattr("sys.stdin", bytes_stdin(stdin.encode()))
         code = main(argv)
         captured = capsys.readouterr()
         assert captured.out == expected

@@ -104,6 +104,12 @@ class TestNmpTable:
             ts = random_term_set(rng, max_vars=4, max_terms=25, max_exp=5)
             assert nmp_table(ts) == nmp_table_bruteforce(ts)
 
+    def test_keys_in_lex_order(self):
+        rng = random.Random(109)
+        for _ in range(50):
+            ts = random_term_set(rng, max_vars=4, max_terms=25, max_exp=5)
+            assert list(nmp_table(ts)) == list(ts.terms) == sorted(ts.terms)
+
     def test_derived_multiplicative_equals_definition(self):
         # an annotation stores only its powers; the variables without one
         # must be the Janet multiplicative variables of the definitional scan
@@ -149,6 +155,54 @@ class TestFastPathsAtScale:
                 assert multiplicative_variables_from_stars(
                     bc, t
                 ) == multiplicative_variables(ts, t)
+
+
+def sparse_wide_sets(seed):
+    """Sets in 64 to 1,024 variables with one to four nonzero exponents per
+    term. Pooled ones draw from 8 variables, x1 and x_n among them, so terms
+    share variables; the others draw from all n."""
+    rng = random.Random(seed)
+    for nvars, size in ((64, 60), (256, 30), (1024, 12)):
+        pool = rng.sample(range(1, nvars - 1), 6) + [0, nvars - 1]
+        for support in (pool, range(nvars)):
+            terms = set()
+            while len(terms) < size:
+                exps = [0] * nvars
+                for v in rng.sample(support, rng.randint(1, 4)):
+                    exps[v] = rng.randint(1, 3)
+                terms.add(Term(exps))
+            yield TermSet(nvars, terms)
+
+
+class TestSparseWideSets:
+    """The bar-code routes on many variables (ROADMAP item 3), held to the
+    definitional scans."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(ts, nmp_table_bruteforce(ts)) for ts in sparse_wide_sets(211)]
+
+    def test_nmp_table_equals_definition(self, cases):
+        for ts, oracle in cases:
+            table = nmp_table(ts)
+            assert table == oracle
+            assert list(table) == list(ts.terms)
+
+    def test_witnesses_equal_oracle(self, cases):
+        undivided = 0
+        for ts, oracle in cases:
+            bc = BarCode.build(ts)
+            witnesses = is_complete(ts).witnesses
+            assert [(w.term, w.power) for w in witnesses] == [
+                (t, p) for t in ts for p in oracle[t].powers()
+            ]
+            for w in witnesses:
+                expected = janet_like_divisors(ts, w.term * w.power, oracle)
+                assert (w.divisor,) == (expected or (None,))
+                found = divisors_for_nm_product(ts, w.term, w.power, bc, oracle)
+                assert found == expected
+                undivided += w.divisor is None
+        assert undivided >= 50
 
 
 class TestJanetDivisor:
