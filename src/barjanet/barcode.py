@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter, ne, sub
+from operator import indexOf, itemgetter, ne, sub
 from typing import Sequence
 
 from .errors import (
@@ -96,10 +96,8 @@ class BarCode:
         if len(terms) == 0:
             raise EmptyInputError("cannot build a bar code from an empty set")
         n = terms.nvars
-        rev = [t.exponents[::-1] for t in terms.terms]
-        depths = tuple(
-            n - list(map(ne, prev, cur)).index(True) for prev, cur in zip(rev, rev[1:])
-        )
+        rev = [t._rev for t in terms.terms]
+        depths = tuple([n - indexOf(map(ne, prev, cur), True) for prev, cur in zip(rev, rev[1:])])
         return cls(n, depths, terms.terms, _internal=True)
 
     @classmethod

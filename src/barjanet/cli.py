@@ -218,7 +218,7 @@ def _run(args) -> tuple[str, int]:
     if args.command == "nmp":
         table = nmp_table(terms, bc)
         powers = (
-            (format_term(t), [format_power(i, k) for i, k in sorted(table[t].nmp.items())])
+            (format_term(t), [format_power(i, k) for i, k in table[t].nmp.items()])
             for t in terms
         )
         if args.format == "json":
@@ -230,19 +230,10 @@ def _run(args) -> tuple[str, int]:
     if args.command == "corners":
         corners = infinite_corners(terms, nmp_table(terms, bc))
         if args.format == "json":
-            doc = {
-                "vars": terms.nvars,
-                "corners": {
-                    format_term(t): corner_to_json(vec) for t, vec in corners.items()
-                },
-            }
-            return json.dumps(doc, indent=2), EXIT_OK
-        return (
-            "\n".join(
-                f"{format_term(t)}: {vec.format()}" for t, vec in corners.items()
-            ),
-            EXIT_OK,
-        )
+            entries = {format_term(t): corner_to_json(vec) for t, vec in corners.items()}
+            return json.dumps({"vars": terms.nvars, "corners": entries}, indent=2), EXIT_OK
+        lines = [f"{format_term(t)}: {vec.format()}" for t, vec in corners.items()]
+        return "\n".join(lines), EXIT_OK
 
     raise InternalInvariantError(f"unhandled command {args.command}")
 

@@ -10,9 +10,10 @@ stays under k_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .janet import JanetAnnotation, nmp_table
-from .terms import Term, TermSet
+from .terms import Term, TermSet, variable_text
 
 
 class Infinity:
@@ -32,6 +33,9 @@ class Infinity:
 INF = Infinity()
 
 
+_entry_text = lru_cache(maxsize=4096)("^{}".format)  # kept like terms.variable_text
+
+
 @dataclass(frozen=True)
 class CornerVector:
     """Per-variable cap of a cone; entries follow the variable order."""
@@ -42,10 +46,7 @@ class CornerVector:
         return self.entries[i - 1] is INF
 
     def format(self) -> str:
-        return "*".join(
-            f"x{i}^{'inf' if e is INF else e}"
-            for i, e in enumerate(self.entries, 1)
-        )
+        return "*".join([variable_text(i) + _entry_text(e) for i, e in enumerate(self.entries, 1)])
 
     def __str__(self):
         return self.format()
@@ -60,10 +61,10 @@ def infinite_corners(
         table = nmp_table(terms)
     out: dict[Term, CornerVector] = {}
     for t in terms:
-        nmp = table[t].nmp
-        out[t] = CornerVector(
-            tuple(e + nmp[i] - 1 if i in nmp else INF for i, e in enumerate(t.exponents, 1))
-        )
+        entries = [INF] * terms.nvars
+        for i, k in table[t].nmp.items():
+            entries[i - 1] = t.exponents[i - 1] + k - 1
+        out[t] = CornerVector(tuple(entries))
     return out
 
 

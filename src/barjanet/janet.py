@@ -41,7 +41,8 @@ from .terms import Term, TermSet
 @dataclass(frozen=True)
 class JanetAnnotation:
     """Per-term Janet data: the powers {i: k_i} of the nonmultiplicative
-    variables; the others are multiplicative (Gerdt and Blinkov, CASC 2005)."""
+    variables; the others are multiplicative (Gerdt and Blinkov, CASC 2005).
+    nmp_table and nmp_table_bruteforce key nmp by increasing i."""
 
     term: Term
     nmp: dict[int, int] = field(default_factory=dict)
@@ -228,9 +229,9 @@ def divisors_for_nm_product(
         raise ValueError(f"{p} is not a pure power")
     if table[t].nmp.get(i) != p.exponents[i - 1]:
         raise ValueError(f"{p} is not a nonmultiplicative power of {t}")
-    col = bc.column_of(t) - 1
-    _, _, lo, hi = next(bar for bar in next_bars(bc)[col] if bar[0] == i)
-    s = _divisor_at(bc, t, i, lo, hi)
+    # x_i is nonmultiplicative, so the row-i bar under t is not the last one
+    first, last = bc.bar_span(i, bc.bar_of_column(i, bc.column_of(t)) + 1)
+    s = _divisor_at(bc, t, i, first - 1, last)
     return () if s is None else (s,)
 
 
@@ -351,7 +352,7 @@ class _LiveCompletion:
             rev, i, t = heap[0]
             w, s = self.checked[(t, i)]
             if s is None and w[::-1] == rev:
-                return Term(w)
+                return Term._valid(w)  # t.exponents with w_i another column's x_i-exponent
             heappop(heap)
         return None
 

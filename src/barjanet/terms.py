@@ -11,12 +11,15 @@ Term-set lines take two routes: a product line such as x1^2*x3 is split on "*",
 and each distinct piece of a file is matched once as one factor (_read_line);
 every other line, and any index out of range, number over 18 digits or exponent
 over the cap, goes to parse_term, the only source of TermSyntaxError and the oracle.
+Without a header, the distinct pieces give n first. Term._valid skips Term's checks:
+only _read_line, parse_term and janet._LiveCompletion call it, each saying why.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -44,9 +47,14 @@ class Term:
                 raise ValueError(f"exponents must be nonnegative, got {e}")
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} exceeds the cap {MAX_EXPONENT}")
-        self.exponents = exps
-        self._rev = exps[::-1]
-        self._hash = hash(exps)
+        self.exponents, self._rev, self._hash = exps, exps[::-1], hash(exps)
+
+    @classmethod
+    def _valid(cls, exps: tuple[int, ...]) -> Term:
+        """Term(exps) unchecked, for a nonempty tuple of non-bool ints in 0..MAX_EXPONENT."""
+        t = object.__new__(cls)
+        t.exponents, t._rev, t._hash = exps, exps[::-1], hash(exps)
+        return t
 
     @classmethod
     def one(cls, nvars: int) -> Term:
@@ -237,13 +245,19 @@ def format_term(t: Term) -> str:
 
 def format_exponents(exponents: Iterable[int]) -> str:
     """format_term of the term with these exponents, without building it."""
-    parts = [format_power(i, e) for i, e in enumerate(exponents, 1) if e]
-    return "*".join(parts) if parts else "1"
+    parts = [variable_text(i) + _exponent_text(e) for i, e in enumerate(exponents, 1) if e]
+    return "*".join(parts) or "1"
 
 
 def format_power(i: int, e: int) -> str:
     """Text form of x_i^e for e >= 1."""
-    return f"x{i}" if e == 1 else f"x{i}^{e}"
+    return variable_text(i) + _exponent_text(e)
+
+
+# x_i and ^e are kept, up to fixed bounds, so that an output of many terms
+# formats each variable and each distinct exponent about once
+variable_text = lru_cache(maxsize=MAX_VARS)("x{}".format)
+_exponent_text = lru_cache(maxsize=4096)(lambda e: "" if e == 1 else f"^{e}")
 
 
 def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
@@ -300,7 +314,7 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
             err("unexpected text after ']'", pos)
         if len(exps) != nvars:
             err(f"expected {nvars} exponents, got {len(exps)}", 0)
-        return Term(exps)
+        return Term._valid(tuple(exps))  # at least one, each read_nat-capped
 
     if src[pos] == "1":
         pos += 1
@@ -337,7 +351,7 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
     skip_ws()
     if pos < n:
         err("unexpected character", pos)
-    return Term(exps)
+    return Term._valid(tuple(exps))  # an index in 1..nvars was read; sums capped
 
 
 _VARS_HEADER = re.compile(r"^vars\s*:\s*(\d+)\s*$")
@@ -367,7 +381,8 @@ def _read_line(text: str, nvars: int, line: int | None, pieces: dict) -> Term:
             if len(pieces) < _MAX_PIECES:
                 pieces[piece] = (i, power)
         exps[i] += power
-    return Term(exps) if max(exps) <= MAX_EXPONENT else parse_term(text, nvars, line)
+    # valid: every piece held digits and an index in 1..nvars, and the sums are capped
+    return Term._valid(tuple(exps)) if max(exps) <= MAX_EXPONENT else parse_term(text, nvars, line)
 
 
 def _bounded_nat(digits: str, cap: int) -> int:
@@ -400,43 +415,49 @@ def parse_term_set(text: str) -> TermSet:
     index used; exponent-list lines fix it exactly and must agree. Either way
     it is at most MAX_VARS.
     """
-    content: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            content.append((line_no, stripped))
+    lines = ((k, raw.split("#", 1)[0].strip()) for k, raw in enumerate(text.splitlines(), 1))
+    content = [(line_no, body) for line_no, body in lines if body]
+    nvars = parse_vars_header(content[0][1], content[0][0]) if content else None
+    if nvars is not None:
+        content = content[1:]
 
-    nvars = None
-    if content:
-        nvars = parse_vars_header(content[0][1], content[0][0])
-        if nvars is not None:
-            content = content[1:]
-
+    pieces: dict[str, tuple[int, int]] = {}
     if nvars is None:
-        max_index = 0
-        list_lengths: dict[int, int] = {}
-        for line_no, body in content:
-            if body.lstrip().startswith("["):
-                list_lengths[line_no] = body.count(",") + 1
+        # n before any term is read: the exponent lists' length, or the largest
+        # index among the product lines' distinct pieces (see _widest)
+        lengths, batch, max_index = set(), set(), 0
+        for _, body in content:
+            if body[0] == "[":
+                lengths.add(body.count(",") + 1)
             else:
-                for m in _VAR_INDEX.finditer(body):
-                    max_index = max(max_index, _bounded_nat(m.group(1), MAX_VARS))
-        lengths = set(list_lengths.values())
+                batch.update(body.split("*"))
+                if len(batch) > _MAX_PIECES:
+                    max_index = max(max_index, _widest(batch, pieces))
+        max_index = max(max_index, _widest(batch, pieces))
         if max(lengths | {max_index}) > MAX_VARS:
             raise TermSyntaxError(f"more than {MAX_VARS} variables, the limit")
         if len(lengths) > 1:
-            raise TermSyntaxError(
-                "exponent lists of different lengths; add a 'vars: n' header"
-            )
-        if lengths:
-            nvars = lengths.pop()
-            if max_index > nvars:
-                raise TermSyntaxError(
-                    f"variable index {max_index} exceeds exponent-list length {nvars}"
-                )
-        else:
-            nvars = max(max_index, 1)
-
-    pieces: dict[str, tuple[int, int]] = {}
+            raise TermSyntaxError("exponent lists of different lengths; add a 'vars: n' header")
+        nvars = lengths.pop() if lengths else max(max_index, 1)
+        if max_index > nvars:
+            raise TermSyntaxError(f"variable index {max_index} exceeds exponent-list length {nvars}")
     terms = [_read_line(body, nvars, line_no, pieces) for line_no, body in content]
     return TermSet(nvars, terms)
+
+
+def _widest(batch: set, pieces: dict) -> int:
+    """Largest index in batch's pieces not yet in pieces, which keeps the ones
+    the product grammar matches, in its cap. No "x<digits>" spans a "*". batch
+    is emptied: a file's distinct pieces are held a batch at a time."""
+    max_index = 0
+    for piece in batch.difference(pieces):
+        if m := _PIECE.fullmatch(piece):
+            index = int(m[1])
+            if index and len(pieces) < _MAX_PIECES:
+                pieces[piece] = (index - 1, int(m[2] or 1))
+        else:
+            found = _VAR_INDEX.findall(piece)
+            index = max((_bounded_nat(d, MAX_VARS) for d in found), default=0)
+        max_index = max(max_index, index)
+    batch.clear()
+    return max_index

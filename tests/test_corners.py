@@ -123,3 +123,18 @@ class TestGeneralProperties:
     def test_text_form(self):
         assert CornerVector((INF, 2)).format() == "x1^inf*x2^2"
         assert CornerVector((3, INF, 0)).format() == "x1^3*x2^inf*x3^0"
+
+    def test_text_form_past_the_kept_texts(self):
+        # more distinct variables and entries than the kept texts hold, twice
+        rng = random.Random(151)
+        for _ in range(2):
+            for _ in range(300):
+                n = rng.choice([1, 3, 6, 1500])
+                entries = tuple(
+                    rng.choice([INF, 0, 1, rng.randint(0, 10**6)]) for _ in range(n)
+                )
+                expected = "*".join(
+                    f"x{i}^{'inf' if e is INF else e}" for i, e in enumerate(entries, 1)
+                )
+                assert CornerVector(entries).format() == expected
+                assert str(CornerVector(entries)) == expected

@@ -28,13 +28,16 @@ from barjanet import (
     parse_term,
     parse_term_set,
     star_positions,
+    star_set,
 )
 from barjanet.janet import _LiveCompletion
 from helpers import (
     complete_by_rebuild,
+    divisor_closure,
     expanded_box,
     grown_order_ideal,
     in_semigroup_ideal,
+    random_point_set,
     random_term,
     random_term_set,
 )
@@ -109,6 +112,15 @@ class TestNmpTable:
         for _ in range(50):
             ts = random_term_set(rng, max_vars=4, max_terms=25, max_exp=5)
             assert list(nmp_table(ts)) == list(ts.terms) == sorted(ts.terms)
+
+    def test_powers_by_increasing_variable(self):
+        # the nmp command prints each term's powers in this order, unsorted
+        rng = random.Random(127)
+        sets = [random_term_set(rng, max_vars=6, max_terms=40, max_exp=5) for _ in range(100)]
+        tables = [t for ts in sets for t in (nmp_table(ts), nmp_table_bruteforce(ts))]
+        tables += [nmp_table(ts) for ts in benchmark_shaped_sets(137)]
+        for table in tables:
+            assert all(list(ann.nmp) == sorted(ann.nmp) for ann in table.values())
 
     def test_derived_multiplicative_equals_definition(self):
         # an annotation stores only its powers; the variables without one
@@ -187,6 +199,11 @@ class TestSparseWideSets:
             table = nmp_table(ts)
             assert table == oracle
             assert list(table) == list(ts.terms)
+
+    def test_powers_by_increasing_variable(self, cases):
+        for ts, oracle in cases:
+            for table in (nmp_table(ts), oracle):
+                assert all(list(ann.nmp) == sorted(ann.nmp) for ann in table.values())
 
     def test_witnesses_equal_oracle(self, cases):
         undivided = 0
@@ -690,3 +707,66 @@ class TestIncrementalCompletion:
             assert is_complete(leads).complete
             generators = monomial_generators(groebner_escalier(X))
             assert leads == complete_by_rebuild(generators)[0]
+
+
+def is_star(ideal, s):
+    """The star set's definition: s lies outside the order ideal and
+    s / x_min(s) inside."""
+    i = s.min_variable()
+    return s not in ideal and i is not None and s / Term.variable(ideal.nvars, i) in ideal
+
+
+def star_fact_ideals(seed):
+    """Order ideals in 2 to 6 variables: divisor closures of random terms,
+    grown ideals in 5 and 6 variables, and escaliers of random points, some
+    of them on a small grid, whose generators often need completion."""
+    rng = random.Random(seed)
+    for _ in range(120):
+        nvars = rng.randint(2, 6)
+        seeds = [random_term(rng, nvars, rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        yield divisor_closure(TermSet(nvars, seeds))
+    for nvars in (5, 6):
+        for _ in range(12):
+            yield grown_order_ideal(rng, nvars, rng.randint(1, 60))
+    for _ in range(40):
+        yield groebner_escalier(random_point_set(rng, max_points=15, max_vars=4, coord_bound=3))
+    for _ in range(20):
+        nvars = rng.randint(2, 4)
+        grid = list(itertools.product(range(3), repeat=nvars))
+        chosen = rng.sample(grid, rng.randint(1, min(len(grid), 14)))
+        yield groebner_escalier(PointSet(sorted(tuple(map(Fraction, p)) for p in chosen)))
+
+
+class TestStarSetFacts:
+    """The paper's closing facts on an order ideal N and its star set S
+    (Gerdt and Blinkov, CASC 2005; Ceria, J. Symbolic Comput. 91, 2019):
+    S is Janet-like complete, completing the minimal generators of the
+    complement of N stays inside S, and no added term can be dropped."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for ideal in star_fact_ideals(223):
+            generators = monomial_generators(ideal)
+            out.append((ideal, generators, complete(generators)[0]))
+        return out
+
+    def test_star_set_is_complete(self, cases):
+        for ideal, _, _ in cases:
+            stars = star_set(BarCode.build(ideal))
+            assert all(is_star(ideal, s) for s in stars)
+            assert is_complete(stars).complete
+
+    def test_completion_stays_in_the_star_set(self, cases):
+        for ideal, generators, completed in cases:
+            assert set(generators) <= set(completed)
+            assert all(is_star(ideal, c) for c in completed)
+
+    def test_no_added_term_can_be_dropped(self, cases):
+        added = 0
+        for _, generators, completed in cases:
+            for a in set(completed) - set(generators):
+                rest = TermSet(completed.nvars, [c for c in completed if c != a])
+                assert not is_complete(rest).complete
+                added += 1
+        assert added >= 100

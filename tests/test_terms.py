@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -18,7 +19,14 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
-from barjanet.terms import _read_line, format_exponents, read_term_line
+from barjanet.terms import (
+    _exponent_text,
+    _read_line,
+    format_exponents,
+    format_power,
+    read_term_line,
+    variable_text,
+)
 from helpers import random_term
 
 
@@ -129,6 +137,23 @@ class TestParseFormat:
             assert format_exponents(e) == format_term(Term(e))
             assert format_exponents(iter(e)) == format_term(Term(e))
         assert format_exponents((0, 0, 0)) == "1"
+
+    def test_texts_past_the_kept_ones(self):
+        # x_i and ^e texts are kept up to fixed bounds; past them the output
+        # is the same, and no more are kept
+        rng = random.Random(8)
+        for _ in range(2):
+            for _ in range(3000):
+                i, e = rng.randint(1, 3 * MAX_VARS), rng.choice([1, 2, rng.randint(1, 10**9)])
+                assert format_power(i, e) == (f"x{i}" if e == 1 else f"x{i}^{e}")
+            for n in (1, 5, 2 * MAX_VARS):
+                e = tuple(rng.choice([0, 0, 1, rng.randint(2, 10**6)]) for _ in range(n))
+                expected = "*".join(
+                    f"x{i}" if k == 1 else f"x{i}^{k}" for i, k in enumerate(e, 1) if k
+                )
+                assert format_term(Term(e)) == format_exponents(iter(e)) == (expected or "1")
+        assert variable_text.cache_info().currsize <= MAX_VARS
+        assert _exponent_text.cache_info().currsize <= _exponent_text.cache_info().maxsize
 
     def test_syntax_error_position(self):
         with pytest.raises(TermSyntaxError) as info:
@@ -435,3 +460,193 @@ class TestPieceDict:
             return TermSet(MAX_VARS, [read_term_line(body, MAX_VARS, k) for k, body in lines])
 
         assert peak(lambda: parse_term_set(text)) <= 1.2 * peak(line_by_line)
+
+
+def inferred_oracle_outcome(lines):
+    """set_outcome of a headerless file by the definition: n is the largest
+    "x<digits>" index of its non-list lines (comments dropped) or the common
+    length of its exponent lists, and then each line is read by parse_term."""
+    content = [(k, raw.split("#", 1)[0].strip()) for k, raw in enumerate(lines, 1)]
+    content = [(k, body) for k, body in content if body]
+    lengths = {body.count(",") + 1 for _, body in content if body.startswith("[")}
+    indices = [
+        MAX_VARS + 1 if len(digits) > 18 else min(int(digits), MAX_VARS + 1)
+        for _, body in content
+        if not body.startswith("[")
+        for digits in [d.lstrip("0") or "0" for d in re.findall(r"x\s*(\d+)", body)]
+    ]
+    max_index = max(indices, default=0)
+    try:
+        if max(lengths | {max_index}) > MAX_VARS:
+            raise TermSyntaxError(f"more than {MAX_VARS} variables, the limit")
+        if len(lengths) > 1:
+            raise TermSyntaxError("exponent lists of different lengths; add a 'vars: n' header")
+        nvars = lengths.pop() if lengths else max(max_index, 1)
+        if max_index > nvars:
+            raise TermSyntaxError(
+                f"variable index {max_index} exceeds exponent-list length {nvars}"
+            )
+        return TermSet(nvars, [parse_term(body, nvars, k) for k, body in content])
+    except TermSyntaxError as exc:
+        return (str(exc), exc.position, exc.line)
+
+
+def headerless(lines):
+    return "\n".join(lines) + "\n"
+
+
+class TestHeaderlessRead:
+    """Without a header, n comes from the file's distinct pieces, matched once
+    into the same pieces dict that then reads the lines."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(PRODUCT, ANY_LINE), max_size=8))
+    def test_agrees_with_the_definition(self, lines):
+        lines = lines + lines[::-1]
+        assert set_outcome(headerless(lines)) == inferred_oracle_outcome(lines)
+
+    @pytest.mark.parametrize(
+        "lines",
+        [lines for lines, _ in REPEATING_FILES]
+        + [
+            ["x1", f"x{MAX_VARS + 1}", "x1^" + "9" * 19],
+            ["x1^" + "9" * 19, f"x2x{MAX_VARS + 1}"],
+            ["x0^2", "x" + "0" * 30 + "3"],
+            ["x0"],
+            ["[1,2]", "x3"],
+            ["[1,2]", "[1,2,3]", f"x{MAX_VARS + 1}"],
+            ["x2 # x99", "1", "  # x7"],
+            ["x٣^2", "x1*x1"],
+            ["x1*x2^3", "x 2 ^ 3 * x1", "x2^3x5"],
+        ],
+    )
+    def test_edge_files_agree_with_the_definition(self, lines):
+        assert set_outcome(headerless(lines)) == inferred_oracle_outcome(lines)
+
+    def test_same_set_as_with_the_header(self):
+        rng = random.Random(421)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            terms = {random_term(rng, n, 4) for _ in range(rng.randint(0, 20))}
+            terms |= {Term.one(n), Term.variable(n, n, rng.randint(1, 4))}
+            lines = []
+            for u in terms:
+                factors = [f"x{i}^{e}" for i, e in enumerate(u.exponents, 1) if e]
+                rng.shuffle(factors)
+                line = rng.choice(
+                    [
+                        format_term(u),
+                        " * ".join(factors) or "1",
+                        "[" + ",".join(map(str, u.exponents)) + "]",
+                    ]
+                )
+                lines.append(line + rng.choice(["", "  # x99", "#"]))
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(["", "# x12 comment", "   "]))
+            body = headerless(lines)
+            expected = TermSet(n, terms)
+            assert parse_term_set(body) == expected
+            assert parse_term_set(f"vars: {n}\n" + body) == expected
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_cap_does_not_change_results(self, monkeypatch, cap):
+        files = [headerless(lines) for lines, _ in REPEATING_FILES]
+        expected = [set_outcome(text) for text in files]
+        monkeypatch.setattr("barjanet.terms._MAX_PIECES", cap)
+        assert [set_outcome(text) for text in files] == expected
+
+    def test_product_lines_skip_parse_term(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fell back to parse_term")
+
+        lines = ["x1", "x3^12*x1", " x2 ^ 3 * x\t2\t", f"x1^{MAX_EXPONENT}", "x1"]
+        expected = TermSet(3, [parse_term(line, 3) for line in lines])
+        monkeypatch.setattr("barjanet.terms.parse_term", refuse)
+        assert parse_term_set(headerless(lines)) == expected
+
+    def test_distinct_pieces_stay_within_the_cap(self):
+        # n is read off the pieces a bounded batch at a time, so a file whose
+        # pieces never repeat peaks as it does with its header
+        rng = random.Random(4)
+        columns = [rng.sample(range(2, 10**6), 40) for _ in range(MAX_VARS)]
+        text = "".join(
+            "*".join(f"x{v}^{column[k]}" for v, column in enumerate(columns, 1)) + "\n"
+            for k in range(40)
+        )
+
+        def peak(text):
+            tracemalloc.start()
+            try:
+                parse_term_set(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert parse_term_set(text) == parse_term_set(f"vars: {MAX_VARS}\n" + text)
+        assert peak(text) <= 1.2 * peak(f"vars: {MAX_VARS}\n" + text)
+
+    def test_vars_limit_comes_before_any_term(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a term was read")
+
+        monkeypatch.setattr("barjanet.terms._read_line", refuse)
+        with pytest.raises(TermSyntaxError) as info:
+            parse_term_set(f"x1^{MAX_EXPONENT + 1}\n1/0\nx{MAX_VARS + 1}\n")
+        assert str(info.value) == f"more than {MAX_VARS} variables, the limit"
+
+
+def valid_vectors(seed):
+    """Valid exponent tuples in 1 to MAX_VARS variables, with 0 and
+    MAX_EXPONENT common."""
+    rng = random.Random(seed)
+    vectors = [(0,), (MAX_EXPONENT,), (0,) * MAX_VARS, (MAX_EXPONENT,) * MAX_VARS]
+    for _ in range(400):
+        n = rng.choice([1, 2, 3, 4, 6, rng.randint(1, MAX_VARS), MAX_VARS])
+        choices = [0, 0, MAX_EXPONENT, 1, rng.randint(0, MAX_EXPONENT)]
+        vectors.append(tuple(rng.choice(choices) for _ in range(n)))
+    return vectors
+
+
+class TestValidConstructor:
+    """Term._valid skips the checks of Term(...), for exponents that are valid
+    by construction; on valid input the two build equal terms."""
+
+    def test_agrees_with_the_checked_constructor(self):
+        vectors = valid_vectors(431)
+        fast = [Term._valid(e) for e in vectors]
+        checked = [Term(e) for e in vectors]
+        for a, b in zip(fast, checked):
+            assert a == b and b == a and not a != b
+            assert hash(a) == hash(b)
+            assert str(a) == str(b) and repr(a) == repr(b)
+            assert (a.exponents, a._rev) == (b.exponents, b._rev)
+        rng = random.Random(433)
+        for _ in range(2000):
+            j, k = rng.randrange(len(vectors)), rng.randrange(len(vectors))
+            if len(vectors[j]) == len(vectors[k]):
+                assert lex_compare(fast[j], fast[k]) == lex_compare(checked[j], checked[k])
+                assert (fast[j] < checked[k]) == (checked[j] < checked[k])
+                assert (fast[j] >= fast[k]) == (checked[j] >= checked[k])
+        for n in {len(e) for e in vectors}:
+            same = [j for j, e in enumerate(vectors) if len(e) == n]
+            assert sorted(fast[j] for j in same) == sorted(checked[j] for j in same)
+            assert TermSet(n, (fast[j] for j in same)) == TermSet(n, (checked[j] for j in same))
+
+    @pytest.mark.parametrize(
+        "exponents,error",
+        [
+            ((True,), TypeError),
+            ((0, False), TypeError),
+            ((1.0,), TypeError),
+            ((-1,), ValueError),
+            ((0, 0, -5), ValueError),
+            ((MAX_EXPONENT + 1,), ValueError),
+            ((0, 2**64), ValueError),
+            ((), DimensionError),
+        ],
+    )
+    def test_checked_constructor_still_rejects(self, exponents, error):
+        with pytest.raises(error):
+            Term(exponents)
+        with pytest.raises(error):
+            Term(iter(exponents))
