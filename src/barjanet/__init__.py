@@ -36,7 +36,6 @@ from .errors import (
 )
 from .janet import (
     CompletionReport,
-    JanetAnnotation,
     Witness,
     complete,
     divisors_for_nm_product,

@@ -55,21 +55,23 @@ class EList:
 
 @dataclass(frozen=True)
 class StarPlacement:
-    """Star marks on a bar code: (row i, bar j) means a star follows bar j."""
+    """Star marks on a bar code: rows[i - 1] lists, increasing, the bars j
+    of row i that a star follows. Iterating yields (i, j) in that order."""
 
-    stars: frozenset[tuple[int, int]]
+    rows: tuple[tuple[int, ...], ...]
 
     def has(self, row: int, bar: int) -> bool:
-        return (row, bar) in self.stars
-
-    def sorted(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.stars))
+        if not 1 <= row <= len(self.rows):
+            return False
+        bars = self.rows[row - 1]
+        k = bisect_left(bars, bar)
+        return k < len(bars) and bars[k] == bar
 
     def __iter__(self):
-        return iter(self.sorted())
+        return ((i, j) for i, bars in enumerate(self.rows, 1) for j in bars)
 
     def __len__(self) -> int:
-        return len(self.stars)
+        return sum(map(len, self.rows))
 
 
 class BarCode:
@@ -314,13 +316,12 @@ def star_positions(bc: BarCode) -> StarPlacement:
     """Stars after bars: the last bar of every row, and between consecutive
     bars of a row that lie over different bars of the row below, where the
     boundary between them is deeper than the row."""
-    stars = set()
+    rows = []
     depths = bc._depths  # of row i's boundaries, the ones of depth >= i
     for i in range(1, bc.nvars + 1):
-        stars.update((i, j) for j, d in enumerate(depths, 1) if d > i)
-        stars.add((i, len(depths) + 1))
+        rows.append((*(j for j, d in enumerate(depths, 1) if d > i), len(depths) + 1))
         depths = [d for d in depths if d > i]
-    return StarPlacement(frozenset(stars))
+    return StarPlacement(tuple(rows))
 
 
 def star_set(bc: BarCode) -> TermSet:
@@ -368,18 +369,18 @@ def render_ascii(bc: BarCode, stars: StarPlacement | None = None) -> str:
     label_strs = [format_term(t) for t in bc.labels]
     widths = [len(s) for s in label_strs]
     lines = [" ".join(label_strs)]
-    starred = frozenset() if stars is None else stars.stars
     for i in range(1, bc.nvars + 1):
+        starred = frozenset() if stars is None else frozenset(stars.rows[i - 1])
         bounds = bc._bar_bounds(i)
         pieces = [
             "-" * (sum(widths[first - 1 : end - 1]) + end - first - 1)
             for first, end in zip(bounds, bounds[1:])
         ]
         line = pieces[0] + "".join(
-            ("*" if (i, j) in starred else " ") + piece
+            ("*" if j in starred else " ") + piece
             for j, piece in enumerate(pieces[1:], 1)
         )
-        if (i, len(pieces)) in starred:
+        if len(pieces) in starred:
             line += " *"
         lines.append(line)
     return "\n".join(lines)
@@ -393,5 +394,5 @@ def to_json_dict(bc: BarCode, stars: StarPlacement | None = None) -> dict:
         "labels": [format_term(t) for t in bc.labels],
     }
     if stars is not None:
-        doc["stars"] = [list(pair) for pair in stars.sorted()]
+        doc["stars"] = [[i, j] for i, j in stars]
     return doc

@@ -202,10 +202,10 @@ def _run(args) -> tuple[str, int]:
             doc = to_json_dict(bc, stars)
             del doc["labels"]
             return json.dumps(doc, indent=2), EXIT_OK
-        by_row = {i: [] for i in range(1, bc.nvars + 1)}
-        for i, j in stars:
-            by_row[i].append(str(j))
-        lines = [f"row {i}: after bars {', '.join(bars)}" for i, bars in by_row.items()]
+        lines = [
+            f"row {i}: after bars {', '.join(map(str, bars))}"
+            for i, bars in enumerate(stars.rows, 1)
+        ]
         return "\n".join(lines), EXIT_OK
 
     if args.command == "star-set":
@@ -218,7 +218,7 @@ def _run(args) -> tuple[str, int]:
     if args.command == "nmp":
         table = nmp_table(terms, bc)
         powers = (
-            (format_term(t), [format_power(i, k) for i, k in table[t].nmp.items()])
+            (format_term(t), [format_power(i, k) for i, k in table[t].items()])
             for t in terms
         )
         if args.format == "json":

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .janet import JanetAnnotation, nmp_table
+from .janet import nmp_table
 from .terms import Term, TermSet, variable_text
 
 
@@ -54,7 +54,7 @@ class CornerVector:
 
 def infinite_corners(
     terms: TermSet,
-    table: dict[Term, JanetAnnotation] | None = None,
+    table: dict[Term, dict[int, int]] | None = None,
 ) -> dict[Term, CornerVector]:
     """Corner vector for every term of the set, keyed in lex order."""
     if table is None:
@@ -62,7 +62,7 @@ def infinite_corners(
     out: dict[Term, CornerVector] = {}
     for t in terms:
         entries = [INF] * terms.nvars
-        for i, k in table[t].nmp.items():
+        for i, k in table[t].items():
             entries[i - 1] = t.exponents[i - 1] + k - 1
         out[t] = CornerVector(tuple(entries))
     return out

@@ -24,7 +24,7 @@ is its oracle in tests/helpers.py (complete_by_rebuild).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 
@@ -36,31 +36,6 @@ from .errors import (
     MembershipError,
 )
 from .terms import Term, TermSet
-
-
-@dataclass(frozen=True)
-class JanetAnnotation:
-    """Per-term Janet data: the powers {i: k_i} of the nonmultiplicative
-    variables; the others are multiplicative (Gerdt and Blinkov, CASC 2005).
-    nmp_table and nmp_table_bruteforce key nmp by increasing i."""
-
-    term: Term
-    nmp: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def nonmultiplicative(self) -> frozenset[int]:
-        return frozenset(self.nmp)
-
-    @property
-    def multiplicative(self) -> frozenset[int]:
-        return frozenset(range(1, self.term.nvars + 1)).difference(self.nmp)
-
-    def powers(self) -> tuple[Term, ...]:
-        """Nonmultiplicative powers as terms, in variable order."""
-        n = self.term.nvars
-        return tuple(
-            Term.variable(n, i, k) for i, k in sorted(self.nmp.items())
-        )
 
 
 @dataclass(frozen=True)
@@ -129,8 +104,10 @@ def janet_divisor(terms: TermSet, w: Term) -> Term | None:
     return found[0] if found else None
 
 
-def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, JanetAnnotation]:
-    """Annotations for every term, read off the bar code.
+def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, dict[int, int]]:
+    """The nonmultiplicative powers {i: k_i} of every term, read off the bar
+    code; the variables without one are multiplicative (Gerdt and Blinkov,
+    CASC 2005). Terms are keyed in lex order, each dict by increasing i.
 
     A missing star after the row-i bar under t means x_i is
     nonmultiplicative, and then the gap to the x_i-exponent shared by the
@@ -141,16 +118,16 @@ def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, JanetAnno
     if bc is None:
         bc = BarCode.build(terms)
     return {
-        t: JanetAnnotation(t, {i: e - t.exponents[i - 1] for i, e, _, _ in bars})
+        t: {i: e - t.exponents[i - 1] for i, e, _, _ in bars}
         for t, bars in zip(bc.labels, next_bars(bc))
     }
 
 
-def nmp_table_bruteforce(terms: TermSet) -> dict[Term, JanetAnnotation]:
-    """Annotations by the definitional max/min scans, no bar code."""
+def nmp_table_bruteforce(terms: TermSet) -> dict[Term, dict[int, int]]:
+    """nmp_table by the definitional max/min scans, no bar code."""
     if len(terms) == 0:
         raise EmptyInputError("cannot annotate an empty set")
-    table: dict[Term, JanetAnnotation] = {}
+    table = {}
     for t in terms:
         nmp: dict[int, int] = {}
         for i in range(1, terms.nvars + 1):
@@ -162,7 +139,7 @@ def nmp_table_bruteforce(terms: TermSet) -> dict[Term, JanetAnnotation]:
                     for u in group
                     if u.exponents[i - 1] > t.exponents[i - 1]
                 )
-        table[t] = JanetAnnotation(t, nmp)
+        table[t] = nmp
     return table
 
 
@@ -170,7 +147,7 @@ def is_multiplier(
     terms: TermSet,
     t: Term,
     v: Term,
-    table: dict[Term, JanetAnnotation] | None = None,
+    table: dict[Term, dict[int, int]] | None = None,
 ) -> bool:
     """True when no nonmultiplicative power of t divides v."""
     if table is None:
@@ -178,13 +155,13 @@ def is_multiplier(
     if t not in table:
         raise MembershipError(f"{t} does not belong to the given set")
     t._check_dim(v)
-    return all(v.exponents[i - 1] < k for i, k in table[t].nmp.items())
+    return all(v.exponents[i - 1] < k for i, k in table[t].items())
 
 
 def janet_like_divisors(
     terms: TermSet,
     w: Term,
-    table: dict[Term, JanetAnnotation] | None = None,
+    table: dict[Term, dict[int, int]] | None = None,
 ) -> tuple[Term, ...]:
     """All Janet-like divisors of w in the set, lex-increasing.
 
@@ -205,7 +182,7 @@ def divisors_for_nm_product(
     t: Term,
     p: Term,
     bc: BarCode | None = None,
-    table: dict[Term, JanetAnnotation] | None = None,
+    table: dict[Term, dict[int, int]] | None = None,
 ) -> tuple[Term, ...]:
     """Janet-like divisors of w = t*p located through the bar code.
 
@@ -227,7 +204,7 @@ def divisors_for_nm_product(
     i = p.min_variable()
     if i is None or any(p.exponents[i:]):
         raise ValueError(f"{p} is not a pure power")
-    if table[t].nmp.get(i) != p.exponents[i - 1]:
+    if table[t].get(i) != p.exponents[i - 1]:
         raise ValueError(f"{p} is not a nonmultiplicative power of {t}")
     # x_i is nonmultiplicative, so the row-i bar under t is not the last one
     first, last = bc.bar_span(i, bc.bar_of_column(i, bc.column_of(t)) + 1)

@@ -132,6 +132,30 @@ def random_polynomial(rng: random.Random, nvars: int, max_exp: int = 3):
     return Polynomial(nvars, coeffs)
 
 
+def nm_powers(nvars: int, nmp: dict[int, int]) -> tuple[Term, ...]:
+    """The powers x_i^(k_i) of one nmp_table entry, by increasing i."""
+    return tuple(Term.variable(nvars, i, k) for i, k in sorted(nmp.items()))
+
+
+def multiplicative(nvars: int, nmp: dict[int, int]) -> frozenset[int]:
+    """The variables without a power in one nmp_table entry."""
+    return frozenset(range(1, nvars + 1)).difference(nmp)
+
+
+def stars_by_definition(terms: TermSet) -> tuple[tuple[int, ...], ...]:
+    """Per row i, the bars j of row i that a star follows, by definition: the
+    bars are the runs of equal pi^i, read off the sorted terms alone, and a
+    star follows bar j when pi^(i+1) changes between its last column and the
+    next bar's first, or when j is the last bar."""
+    cols = [u.exponents for u in terms.terms]
+    rows = []
+    for i in range(1, terms.nvars + 1):
+        ends = [c for c in range(1, len(cols)) if cols[c - 1][i - 1 :] != cols[c][i - 1 :]]
+        starred = [j for j, c in enumerate(ends, 1) if cols[c - 1][i:] != cols[c][i:]]
+        rows.append((*starred, len(ends) + 1))
+    return tuple(rows)
+
+
 def all_terms_up_to_degree(nvars: int, max_total: int, cap: int) -> list[Term]:
     out = []
     for exps in itertools.product(range(cap + 1), repeat=nvars):
@@ -268,7 +292,10 @@ def barcode_from_json(doc: dict) -> tuple[BarCode, StarPlacement | None]:
     bc = BarCode.from_lengths(doc["rows"], labels)
     stars = None
     if "stars" in doc:
-        stars = StarPlacement(frozenset((int(i), int(j)) for i, j in doc["stars"]))
+        rows = [[] for _ in range(nvars)]
+        for i, j in doc["stars"]:
+            rows[int(i) - 1].append(int(j))
+        stars = StarPlacement(tuple(map(tuple, rows)))
     return bc, stars
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -15,6 +16,7 @@ from barjanet import (
     decode,
     e_list,
     is_admissible,
+    nmp_table,
     parse_term_set,
     render_ascii,
     star_positions,
@@ -22,7 +24,12 @@ from barjanet import (
     star_set_bruteforce,
     to_json_dict,
 )
-from helpers import barcode_from_json, random_order_ideal, random_term_set
+from helpers import (
+    barcode_from_json,
+    random_order_ideal,
+    random_term_set,
+    stars_by_definition,
+)
 
 
 def t(*exps):
@@ -204,11 +211,13 @@ class TestStars:
     def test_six_term_pattern(self):
         stars = star_positions(BarCode.build(SIX_TERMS))
         expected = {(1, j) for j in range(1, 7)} | {(2, 3), (2, 5), (2, 6), (3, 3)}
-        assert set(stars.sorted()) == expected
+        assert set(stars) == expected
+        assert stars.rows == ((1, 2, 3, 4, 5, 6), (3, 5, 6), (3,))
 
     def test_single_column_one_star_per_row(self):
         bc = BarCode.from_lengths([[1], [1], [1]])
-        assert star_positions(bc).sorted() == ((1, 1), (2, 1), (3, 1))
+        assert star_positions(bc).rows == ((1,), (1,), (1,))
+        assert tuple(star_positions(bc)) == ((1, 1), (2, 1), (3, 1))
 
     def test_last_bar_always_starred(self):
         rng = random.Random(59)
@@ -218,28 +227,51 @@ class TestStars:
             for i in range(1, bc.nvars + 1):
                 assert stars.has(i, bc.mu(i))
 
+    def test_has_is_false_off_the_code(self):
+        # rows 0 and n+1, and bars 0 and mu+1 of every row, carry no star
+        rng = random.Random(61)
+        for _ in range(100):
+            bc = BarCode.build(random_term_set(rng))
+            stars = star_positions(bc)
+            for bar in range(bc.ncols + 2):
+                assert not stars.has(0, bar)
+                assert not stars.has(bc.nvars + 1, bar)
+            for i in range(1, bc.nvars + 1):
+                assert not stars.has(i, 0)
+                assert not stars.has(i, bc.mu(i) + 1)
+
     def test_simplex_has_six_stars(self):
         assert len(star_positions(BarCode.build(SIMPLEX))) == 6
 
     def test_definition_on_random_sets(self):
-        # a star follows bar j of row i when pi^(i+1) changes between its last
-        # column and the next bar's first, or when j is the last bar; the bars
-        # are the runs of equal pi^i, read off the sorted terms alone
         rng = random.Random(337)
         non_ideals = 0
         for _ in range(200):
             ts = random_term_set(rng, max_vars=5, max_terms=30, max_exp=4)
             non_ideals += not ts.is_order_ideal()
-            cols = [u.exponents for u in ts.terms]
-            expected = set()
-            for i in range(1, ts.nvars + 1):
-                ends = [c for c in range(1, len(cols)) if cols[c - 1][i - 1 :] != cols[c][i - 1 :]]
-                for j, c in enumerate(ends, 1):
-                    if cols[c - 1][i:] != cols[c][i:]:
-                        expected.add((i, j))
-                expected.add((i, len(ends) + 1))
-            assert star_positions(BarCode.build(ts)).stars == expected
+            assert star_positions(BarCode.build(ts)).rows == stars_by_definition(ts)
         assert non_ideals >= 150
+
+    def test_peak_memory_near_the_nmp_tables(self):
+        # the sparse CI input: 300 terms in 1,024 variables and 207,494 stars,
+        # which held per row cost about as much memory as the powers
+        rng = random.Random(3)
+        texts = set()
+        while len(texts) < 300:
+            support = rng.sample(range(1, 1025), rng.randint(1, 4))
+            texts.add("*".join(f"x{v}^{rng.randint(1, 5)}" for v in sorted(support)))
+        terms = parse_term_set("vars: 1024\n" + "\n".join(sorted(texts)))
+        bc = BarCode.build(terms)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: star_positions(bc)) <= 2 * peak(lambda: nmp_table(terms, bc))
 
 
 class TestStarSet:

@@ -15,7 +15,13 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
-from helpers import grown_order_ideal, in_semigroup_ideal, random_term, random_term_set
+from helpers import (
+    grown_order_ideal,
+    in_semigroup_ideal,
+    multiplicative,
+    random_term,
+    random_term_set,
+)
 
 
 # k[x, y] with x below y: x = x1, y = x2
@@ -111,8 +117,8 @@ class TestGeneralProperties:
                 t: CornerVector(
                     tuple(
                         INF
-                        if i in oracle[t].multiplicative
-                        else t.deg(i) + oracle[t].nmp[i] - 1
+                        if i in multiplicative(ts.nvars, oracle[t])
+                        else t.deg(i) + oracle[t][i] - 1
                         for i in range(1, ts.nvars + 1)
                     )
                 )

@@ -37,9 +37,12 @@ from helpers import (
     expanded_box,
     grown_order_ideal,
     in_semigroup_ideal,
+    multiplicative,
+    nm_powers,
     random_point_set,
     random_term,
     random_term_set,
+    stars_by_definition,
 )
 
 
@@ -92,14 +95,14 @@ class TestNmpTable:
     def test_six_term_table(self):
         table = nmp_table(SIX_TERMS)
         for text, powers in EXPECTED_POWERS.items():
-            got = {str(p) for p in table[g(text)].powers()}
+            got = {str(p) for p in nm_powers(3, table[g(text)])}
             assert got == powers, text
 
     def test_singleton_has_empty_nmp(self):
         ts = TermSet(3, [g("x1*x3^2")])
         table = nmp_table(ts)
-        assert table[g("x1*x3^2")].nmp == {}
-        assert table[g("x1*x3^2")].multiplicative == {1, 2, 3}
+        assert table[g("x1*x3^2")] == {}
+        assert multiplicative(3, table[g("x1*x3^2")]) == {1, 2, 3}
 
     def test_fast_path_equals_definition(self):
         rng = random.Random(103)
@@ -120,17 +123,17 @@ class TestNmpTable:
         tables = [t for ts in sets for t in (nmp_table(ts), nmp_table_bruteforce(ts))]
         tables += [nmp_table(ts) for ts in benchmark_shaped_sets(137)]
         for table in tables:
-            assert all(list(ann.nmp) == sorted(ann.nmp) for ann in table.values())
+            assert all(list(nmp) == sorted(nmp) for nmp in table.values())
 
     def test_derived_multiplicative_equals_definition(self):
-        # an annotation stores only its powers; the variables without one
-        # must be the Janet multiplicative variables of the definitional scan
+        # a table stores only the powers; the variables without one must be
+        # the Janet multiplicative variables of the definitional scan
         rng = random.Random(107)
         for _ in range(100):
             ts = random_term_set(rng, max_vars=4, max_terms=15, max_exp=4)
-            for t, ann in nmp_table_bruteforce(ts).items():
-                assert ann.multiplicative == multiplicative_variables(ts, t)
-                assert all(k >= 1 for k in ann.nmp.values())
+            for t, nmp in nmp_table_bruteforce(ts).items():
+                assert multiplicative(ts.nvars, nmp) == multiplicative_variables(ts, t)
+                assert all(k >= 1 for k in nmp.values())
 
 
 def benchmark_shaped_sets(seed):
@@ -162,7 +165,7 @@ class TestFastPathsAtScale:
                     for i in range(1, ts.nvars + 1)
                     if stars.has(i, bc.bar_of_column(i, col))
                 }
-                assert starred == oracle[t].multiplicative
+                assert starred == multiplicative(ts.nvars, oracle[t])
             for t in ts.terms[:: max(1, len(ts) // 10)]:
                 assert multiplicative_variables_from_stars(
                     bc, t
@@ -203,7 +206,11 @@ class TestSparseWideSets:
     def test_powers_by_increasing_variable(self, cases):
         for ts, oracle in cases:
             for table in (nmp_table(ts), oracle):
-                assert all(list(ann.nmp) == sorted(ann.nmp) for ann in table.values())
+                assert all(list(nmp) == sorted(nmp) for nmp in table.values())
+
+    def test_star_positions_equal_definition(self, cases):
+        for ts, _ in cases:
+            assert star_positions(BarCode.build(ts)).rows == stars_by_definition(ts)
 
     def test_witnesses_equal_oracle(self, cases):
         undivided = 0
@@ -211,7 +218,7 @@ class TestSparseWideSets:
             bc = BarCode.build(ts)
             witnesses = is_complete(ts).witnesses
             assert [(w.term, w.power) for w in witnesses] == [
-                (t, p) for t in ts for p in oracle[t].powers()
+                (t, p) for t in ts for p in nm_powers(ts.nvars, oracle[t])
             ]
             for w in witnesses:
                 expected = janet_like_divisors(ts, w.term * w.power, oracle)
@@ -366,7 +373,7 @@ class TestNextBarLookup:
             bc = BarCode.build(ts)
             table = nmp_table(ts, bc)
             for t in ts:
-                for p in table[t].powers():
+                for p in nm_powers(ts.nvars, table[t]):
                     via_bar = divisors_for_nm_product(ts, t, p, bc, table)
                     via_scan = janet_like_divisors(ts, t * p, table)
                     assert via_bar == via_scan
@@ -392,7 +399,7 @@ def witness_oracle(ts):
         at_most.append(masks)
     out = []
     for t in members:
-        for i, k in sorted(oracle[t].nmp.items()):
+        for i, k in sorted(oracle[t].items()):
             p = Term.variable(ts.nvars, i, k)
             w = t * p
             bits = -1
@@ -489,10 +496,10 @@ class TestDescentCandidate:
     def assert_candidates_are_divisors(live, nvars):
         current = TermSet(nvars, live.columns)
         oracle = nmp_table_bruteforce(current)
-        assert set(live.checked) == {(t, i) for t in current for i in oracle[t].nmp}
+        assert set(live.checked) == {(t, i) for t in current for i in oracle[t]}
         queued = set(live.failing)
         for (t, i), (w, s) in live.checked.items():
-            assert Term(w) == t * Term.variable(nvars, i, oracle[t].nmp[i])
+            assert Term(w) == t * Term.variable(nvars, i, oracle[t][i])
             expected = janet_like_divisors(current, Term(w), oracle)
             assert ((s,) if s is not None else ()) == expected
             assert s is not None or (w[::-1], i, t) in queued
@@ -541,11 +548,11 @@ class TestRecheckSet:
         after = nmp_table(TermSet(nvars, live.columns))
         changed = {
             (t, i)
-            for t, ann in before.items()
-            for i, k in after[t].nmp.items()
-            if ann.nmp.get(i) != k
+            for t, nmp in before.items()
+            for i, k in after[t].items()
+            if nmp.get(i) != k
         }
-        own = {(c, i) for i in after[c].nmp}
+        own = {(c, i) for i in after[c]}
         assert len(seen) == len(set(seen))
         assert set(seen) == agreeing | changed | own
         return len(seen)
@@ -719,7 +726,8 @@ def is_star(ideal, s):
 def star_fact_ideals(seed):
     """Order ideals in 2 to 6 variables: divisor closures of random terms,
     grown ideals in 5 and 6 variables, and escaliers of random points, some
-    of them on a small grid, whose generators often need completion."""
+    of them on a small grid, whose generators often need completion; then
+    escaliers of 3 points in 64 variables, with a star set of 64 or more."""
     rng = random.Random(seed)
     for _ in range(120):
         nvars = rng.randint(2, 6)
@@ -735,6 +743,9 @@ def star_fact_ideals(seed):
         grid = list(itertools.product(range(3), repeat=nvars))
         chosen = rng.sample(grid, rng.randint(1, min(len(grid), 14)))
         yield groebner_escalier(PointSet(sorted(tuple(map(Fraction, p)) for p in chosen)))
+    for _ in range(3):
+        points = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(64)) for _ in range(3)]
+        yield groebner_escalier(PointSet(points))
 
 
 class TestStarSetFacts:
