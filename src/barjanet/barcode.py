@@ -77,7 +77,7 @@ class StarPlacement:
 class BarCode:
     """Immutable bar code; rows, bars and columns are indexed from 1."""
 
-    __slots__ = ("_nvars", "_depths", "_labels", "_bounds", "_index", "_columns")
+    __slots__ = ("_nvars", "_depths", "_labels", "_bounds", "_index", "_columns", "_stars")
 
     def __init__(self, nvars, depths, labels, _internal=False):
         if not _internal:
@@ -88,6 +88,7 @@ class BarCode:
         self._bounds = None
         self._index = None
         self._columns = None
+        self._stars = None
 
     @classmethod
     def build(cls, terms: TermSet) -> BarCode:
@@ -236,11 +237,12 @@ def next_bars(bc: BarCode) -> list[tuple[tuple[int, int, int, int], ...]]:
     return out
 
 
-def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int | None:
+def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int:
     """First 0-based column reached by walking down from the bar lo..hi-1 of
     the given row (row n+1 spans every column) to row 1, at each lower row l
     onto the bar over the current one whose x_l-exponent is the largest not
-    above bounds[l-1]; None when no bar qualifies. exponents is
+    above bounds[l-1]. When no bar qualifies at some row, ~c (negative) for
+    the first column c of the bar the walk stopped on. exponents is
     BarCode.exponent_columns; the bars over a bar of row l+1 are the runs of
     equal x_l-exponent in its columns, which lex order sorts, so each step
     is two bisections."""
@@ -248,7 +250,7 @@ def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int | None
         exps = exponents[low]
         c = bisect_right(exps, bounds[low], lo, hi) - 1
         if c < lo:
-            return None
+            return ~lo
         lo, hi = bisect_left(exps, exps[c], lo, c), c + 1
     return lo
 
@@ -315,13 +317,16 @@ def is_admissible(bc: BarCode) -> bool:
 def star_positions(bc: BarCode) -> StarPlacement:
     """Stars after bars: the last bar of every row, and between consecutive
     bars of a row that lie over different bars of the row below, where the
-    boundary between them is deeper than the row."""
-    rows = []
-    depths = bc._depths  # of row i's boundaries, the ones of depth >= i
-    for i in range(1, bc.nvars + 1):
-        rows.append((*(j for j, d in enumerate(depths, 1) if d > i), len(depths) + 1))
-        depths = [d for d in depths if d > i]
-    return StarPlacement(tuple(rows))
+    boundary between them is deeper than the row. Built once per bar code,
+    on first use, like exponent_columns."""
+    if bc._stars is None:
+        rows = []
+        depths = bc._depths  # of row i's boundaries, the ones of depth >= i
+        for i in range(1, bc.nvars + 1):
+            rows.append((*(j for j, d in enumerate(depths, 1) if d > i), len(depths) + 1))
+            depths = [d for d in depths if d > i]
+        bc._stars = StarPlacement(tuple(rows))
+    return bc._stars
 
 
 def star_set(bc: BarCode) -> TermSet:

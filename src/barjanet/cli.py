@@ -114,14 +114,16 @@ def _read_input(path: str) -> str:
 
 
 def _witness_lines(report: CompletionReport, verbose: bool) -> Iterator[str]:
-    for w in report.witnesses:
-        if w.divisor is None or verbose:
-            product = format_exponents(map(add, w.term.exponents, w.power.exponents))
-            line = f"{format_term(w.term)} * {format_term(w.power)} = {product}"
-            if w.divisor is None:
-                yield f"missing divisor: {line}"
-            else:
-                yield f"ok: {line} <- {format_term(w.divisor)}"
+    """One line per failing witness, or per witness when verbose. A term's
+    witnesses are consecutive, so its text is formatted once per run."""
+    term = text = None
+    for t, p, s in report.witnesses:
+        if s is None or verbose:
+            if t is not term:
+                term, text = t, format_term(t)
+            product = format_exponents(map(add, t.exponents, p.exponents))
+            line = f"{text} * {format_term(p)} = {product}"
+            yield f"missing divisor: {line}" if s is None else f"ok: {line} <- {format_term(s)}"
 
 
 def _report_json(report: CompletionReport) -> dict:

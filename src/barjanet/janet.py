@@ -27,6 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .barcode import BarCode, descend_columns, next_bars, star_positions
 from .errors import (
@@ -38,8 +39,7 @@ from .errors import (
 from .terms import Term, TermSet
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One completeness obligation: term * power, and who divides it."""
 
     term: Term
@@ -224,7 +224,7 @@ def _divisor_at(bc: BarCode, t: Term, i: int, lo: int, hi: int) -> Term | None:
       exceeds w_l, so w_l - s_l is below that power (if x_l has one).
     """
     c = descend_columns(bc.exponent_columns(), lo, hi, i, t.exponents)
-    return None if c is None else bc.labels[c]
+    return bc.labels[c] if c >= 0 else None
 
 
 def _powers(nvars: int):
@@ -239,12 +239,14 @@ def is_complete(terms: TermSet) -> CompletionReport:
         raise EmptyInputError("completeness is defined for nonempty sets")
     bc = BarCode.build(terms)
     power = _powers(terms.nvars)
-    witnesses = tuple(
-        Witness(t, power(i, e - t.exponents[i - 1]), _divisor_at(bc, t, i, lo, hi))
-        for t, bars in zip(bc.labels, next_bars(bc))
-        for i, e, lo, hi in bars
-    )
-    return CompletionReport(all(w.divisor is not None for w in witnesses), witnesses)
+    labels, columns = bc.labels, bc.exponent_columns()
+    witnesses = []
+    for t, bars in zip(labels, next_bars(bc)):
+        exps = t.exponents
+        for i, e, lo, hi in bars:  # _divisor_at, inlined
+            c = descend_columns(columns, lo, hi, i, exps)
+            witnesses.append(Witness(t, power(i, e - exps[i - 1]), labels[c] if c >= 0 else None))
+    return CompletionReport(all(w.divisor is not None for w in witnesses), tuple(witnesses))
 
 
 def complete(terms: TermSet) -> tuple[TermSet, CompletionReport]:
@@ -292,28 +294,34 @@ class _LiveCompletion:
     x_(v+1)-exponent, as a bar code does; nmp maps each term to its powers
     {i: k_i}. Obligation (t, i) keeps its product w = t*x_i^(k_i) as a
     tuple and its divisor s, the label its descent reaches, or None when it
-    fails. Failing ones wait on a heap in lex order of w; entries whose
-    obligation has changed since are skipped.
+    fails; paths keeps a column on that descent: s, or the first column of
+    the bar it stopped on. Failing ones wait on a heap in lex order of w;
+    entries whose obligation has changed since are skipped.
 
-    The descent starts from row n+1 and reproduces w exactly on rows n..i, as
-    t and the term that sets k_i are columns; below, it is _divisor_at's
-    descent, so s is a divisor. A verdict thus depends only on w and on the
-    columns agreeing with w on x_i..x_n. If c agrees with w there, t agrees
-    with c above x_i and c_i = w_i is the next x_i-exponent above t_i, so t
-    lies in the run with the largest x_i-value below c_i, inside the range
-    [lo, hi) that _insert bisects at row i; so do the terms whose k_i c
-    changes. _insert returns these obligations and c's own, the only ones
-    adding c can change.
+    The descent starts from row n+1 and picks w_l on rows n..i, as t and the
+    term that sets k_i are columns; below, it is _divisor_at's descent, so s
+    is a divisor. At row l it picks p_l, the largest x_l-exponent not above
+    w_l among the columns agreeing with the picks above, or fails there (row
+    f). The path column has every pick, so f is its highest row above w.
+
+    Adding c changes the record of (t, i) only if it changes k_i or enters
+    the descent. Entering, c agrees with w on x_i..x_n and, at the highest
+    row l < i where it leaves the path, p_l < c_l <= w_l (the new pick), or
+    l = f and c_f <= w_f (the first); otherwise every pick and s stay, and
+    so does the path column. Those t agree with c above x_i and have the
+    largest t_i below c_i = w_i: the run _insert bisects at row i, whose
+    k_i changes exactly when c_i is new there. _insert returns these
+    obligations, those of the run whose path c crosses, and c's own.
     """
 
     def __init__(self, terms: TermSet):
-        self.columns: list[Term] = []
-        self.exponents: list[list[int]] = [[] for _ in range(terms.nvars)]
-        self.nmp: dict[Term, dict[int, int]] = {}
+        bc = BarCode.build(terms)
+        self.columns: list[Term] = list(bc.labels)
+        self.exponents: list[list[int]] = list(map(list, bc.exponent_columns()))
+        self.nmp: dict[Term, dict[int, int]] = nmp_table(terms, bc)
         self.checked: dict[tuple[Term, int], tuple[tuple[int, ...], Term | None]] = {}
+        self.paths: dict[tuple[Term, int], Term] = {}
         self.failing: list = []
-        for t in terms:
-            self._insert(t)
         for t in self.columns:
             for i in self.nmp[t]:
                 self._check(t, i)
@@ -344,36 +352,61 @@ class _LiveCompletion:
 
     def _insert(self, c: Term) -> list[tuple[Term, int]]:
         """Place c among the columns and set its powers; return the
-        obligations c can change: (u, i) for u in each row's run below c_i,
-        then c's own.
+        obligations whose record that changes (see the class docstring).
 
         Going down from x_n, [lo, hi) are the columns agreeing with c above
-        x_i, sorted by x_i. The terms u with the largest value below c_i have
-        their x_i-power up to c_i: unchanged if c_i was present, set anew if
-        not, and either way their product agrees with c on x_i..x_n.
+        x_i, sorted by x_i, and [a, b) those agreeing on x_i too. Left of a
+        lies the run of the largest x_i-value below c_i. If c_i is present,
+        i > 1 as c is new, and every descent of the run picks p_(i-1) in
+        [a, b); both are sorted by x_(i-1). So c enters only those with
+        c_(i-1) <= u_(i-1) < the next x_(i-1)-value of [a, b) above c_(i-1),
+        and all of them unless p_(i-1) = c_(i-1).
         """
         dirty = []
         own = {}
+        ce = c.exponents
         lo, hi = 0, len(self.columns)
-        for v in range(len(c.exponents) - 1, -1, -1):
+        for v in range(len(ce) - 1, -1, -1):
             exps = self.exponents[v]
-            e = c.exponents[v]
+            e = ce[v]
             a = bisect_left(exps, e, lo, hi)
             b = bisect_right(exps, e, a, hi)
             if b < hi:
                 own[v + 1] = exps[b] - e
             if a > lo:
                 below = exps[a - 1]
-                for u in self.columns[bisect_left(exps, below, lo, a) : a]:
-                    self.nmp[u][v + 1] = e - below
-                    dirty.append((u, v + 1))
+                first = bisect_left(exps, below, lo, a)
+                if a == b:
+                    for u in self.columns[first:a]:
+                        self.nmp[u][v + 1] = e - below
+                        dirty.append((u, v + 1))
+                else:
+                    low, d = self.exponents[v - 1], ce[v - 1]
+                    nxt = bisect_right(low, d, a, b)
+                    last = a if nxt == b else bisect_left(low, low[nxt], first, a)
+                    run = self.columns[bisect_left(low, d, first, last) : last]
+                    if nxt > a and low[nxt - 1] == d:
+                        dirty.extend((u, v + 1) for u in run if self._crosses(c, u, v + 1))
+                    else:
+                        dirty.extend((u, v + 1) for u in run)
             lo, hi = a, b
         self.columns.insert(lo, c)
-        for exps, e in zip(self.exponents, c.exponents):
+        for exps, e in zip(self.exponents, ce):
             exps.insert(lo, e)
         self.nmp[c] = own
         dirty.extend((c, i) for i in own)
         return dirty
+
+    def _crosses(self, c: Term, u: Term, i: int) -> bool:
+        """The class docstring's rule for c entering the descent of (u, i),
+        whose product agrees with c on x_i..x_n and with u below."""
+        p, ce, ue = self.paths[(u, i)].exponents, c.exponents, u.exponents
+        for v in range(i - 2, -1, -1):
+            if p[v] > ue[v]:  # the row the descent failed at
+                return ce[v] <= ue[v]
+            if ce[v] != p[v]:
+                return p[v] < ce[v] <= ue[v]
+        return False  # unreachable: c would be the divisor p
 
     def _check(self, t: Term, i: int) -> None:
         """Descend for obligation (t, i) afresh and queue it if it newly
@@ -382,10 +415,12 @@ class _LiveCompletion:
         exps[i - 1] += self.nmp[t][i]
         w = tuple(exps)
         col = descend_columns(self.exponents, 0, len(self.columns), len(w) + 1, w)
-        record = (w, None if col is None else self.columns[col])
-        if col is None and self.checked.get((t, i)) != record:
+        path = self.columns[col if col >= 0 else ~col]
+        record = (w, path if col >= 0 else None)
+        if col < 0 and self.checked.get((t, i)) != record:
             heappush(self.failing, (w[::-1], i, t))
         self.checked[(t, i)] = record
+        self.paths[(t, i)] = path
 
 
 def janet_implies_janet_like(terms: TermSet, w: Term) -> bool:

@@ -24,7 +24,9 @@ from barjanet import (
     complete,
     is_complete,
     monomial_generators,
+    nmp_table,
     parse_term,
+    parse_term_set,
 )
 from barjanet.points import eval_term
 
@@ -194,6 +196,39 @@ def complete_by_rebuild(terms: TermSet) -> tuple[TermSet, CompletionReport]:
         current = current.with_terms([candidate])
 
 
+def run_rule_rechecks(nvars, checked, columns, c):
+    """The obligations the run rule re-checks when c joins a live completion
+    state with these records and columns, in three sets: those whose
+    product agrees with c on x_i..x_n, those whose power c changes (by
+    nmp_table before and after), and c's own. Adding c can change no other
+    record; complete() re-checks a subset of their union (the path rule)."""
+    before = nmp_table(TermSet(nvars, columns))
+    after = nmp_table(TermSet(nvars, [*columns, c]))
+    agreeing = {
+        (t, i) for (t, i), (w, _) in checked.items() if w[i - 1 :] == c.exponents[i - 1 :]
+    }
+    changed = {
+        (t, i) for t, nmp in before.items() for i, k in after[t].items() if nmp.get(i) != k
+    }
+    return agreeing, changed, {(c, i) for i in after[c]}
+
+
+def descent_path(columns, w):
+    """The descent for the product w over the columns, by definition: going
+    down from x_n, the largest x_l-exponent not above w_l among the columns
+    agreeing with the picks above. Returns the picks from x_n down and the
+    row where no column qualifies, or 0 when the descent reaches x_1."""
+    agreeing = list(columns)
+    picks = []
+    for row in range(len(w), 0, -1):
+        fitting = [u.exponents[row - 1] for u in agreeing if u.exponents[row - 1] <= w[row - 1]]
+        if not fitting:
+            return picks, row
+        picks.append(max(fitting))
+        agreeing = [u for u in agreeing if u.exponents[row - 1] == picks[-1]]
+    return picks, 0
+
+
 def escalier_scan_by_fractions(points: PointSet):
     """Reference escalier scan over Fraction: the lex escalier of the
     vanishing ideal of the points and the map from a term to its interpolant
@@ -280,6 +315,17 @@ def janet_like_basis_by_fractions(points: PointSet):
     completed, _ = complete(monomial_generators(escalier))
     basis = [Polynomial.from_term(t) - interpolant(t) for t in completed.terms]
     return escalier, basis
+
+
+def sparse_ci_terms() -> TermSet:
+    """The CI's sparse input: 300 terms in 1,024 variables, each with one to
+    four factors of exponent 1 to 5 (random.Random(3))."""
+    rng = random.Random(3)
+    texts = set()
+    while len(texts) < 300:
+        support = rng.sample(range(1, 1025), rng.randint(1, 4))
+        texts.add("*".join(f"x{v}^{rng.randint(1, 5)}" for v in sorted(support)))
+    return parse_term_set("vars: 1024\n" + "\n".join(sorted(texts)))
 
 
 # Readers of the CLI's JSON output, the inverses of to_json_dict,

@@ -28,6 +28,7 @@ from helpers import (
     barcode_from_json,
     random_order_ideal,
     random_term_set,
+    sparse_ci_terms,
     stars_by_definition,
 )
 
@@ -255,12 +256,7 @@ class TestStars:
     def test_peak_memory_near_the_nmp_tables(self):
         # the sparse CI input: 300 terms in 1,024 variables and 207,494 stars,
         # which held per row cost about as much memory as the powers
-        rng = random.Random(3)
-        texts = set()
-        while len(texts) < 300:
-            support = rng.sample(range(1, 1025), rng.randint(1, 4))
-            texts.add("*".join(f"x{v}^{rng.randint(1, 5)}" for v in sorted(support)))
-        terms = parse_term_set("vars: 1024\n" + "\n".join(sorted(texts)))
+        terms = sparse_ci_terms()
         bc = BarCode.build(terms)
 
         def peak(fn):

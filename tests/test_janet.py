@@ -9,6 +9,7 @@ from barjanet import (
     DimensionError,
     MembershipError,
     PointSet,
+    StarPlacement,
     Term,
     TermSet,
     complete,
@@ -30,9 +31,11 @@ from barjanet import (
     star_positions,
     star_set,
 )
+from barjanet import barcode
 from barjanet.janet import _LiveCompletion
 from helpers import (
     complete_by_rebuild,
+    descent_path,
     divisor_closure,
     expanded_box,
     grown_order_ideal,
@@ -42,6 +45,8 @@ from helpers import (
     random_point_set,
     random_term,
     random_term_set,
+    run_rule_rechecks,
+    sparse_ci_terms,
     stars_by_definition,
 )
 
@@ -79,6 +84,20 @@ class TestMultiplicativeVariables:
                 assert multiplicative_variables_from_stars(
                     bc, t
                 ) == multiplicative_variables(ts, t)
+
+    def test_star_reading_builds_one_placement(self, monkeypatch):
+        # the sparse CI input, where building a placement per term made the
+        # 300 reads take about 6.7 s; nmp_table is held to the scan elsewhere
+        ts = sparse_ci_terms()
+        bc = BarCode.build(ts)
+        table = nmp_table(ts, bc)
+        built = []
+        monkeypatch.setattr(
+            barcode, "StarPlacement", lambda rows: built.append(rows) or StarPlacement(rows)
+        )
+        for t in ts:
+            assert multiplicative_variables_from_stars(bc, t) == multiplicative(1024, table[t])
+        assert len(built) == 1
 
 
 EXPECTED_POWERS = {
@@ -428,6 +447,29 @@ def oracle_sets():
     yield TermSet(4, [random_term(rng, 4, 11) for _ in range(1000)])
 
 
+class TestWitnessRecord:
+    """Witness is a named tuple: fields by name, no assignment, and equal to
+    the tuple of its fields, so to witness_oracle's with its one divisor."""
+
+    def test_fields_and_tuple_equality(self):
+        compared = 0
+        for ts in itertools.islice(oracle_sets(), 30):
+            witnesses = is_complete(ts).witnesses
+            expected = witness_oracle(ts)
+            assert len(witnesses) == len(expected)
+            for w, (t, p, found) in zip(witnesses, expected):
+                assert tuple(w) == (w.term, w.power, w.divisor) == w
+                assert w == (t, p, found[0] if found else None)
+                compared += 1
+        assert compared >= 300
+
+    def test_assignment_raises(self):
+        w = is_complete(SIX_TERMS).witnesses[0]
+        for field in ("term", "power", "divisor"):
+            with pytest.raises(AttributeError):
+                setattr(w, field, None)
+
+
 class TestOnePassCheck:
     """is_complete reads every obligation's divisor off the bar code in one
     pass; the definitional scan is its oracle, order included."""
@@ -528,43 +570,69 @@ class TestDescentCandidate:
 
 
 class TestRecheckSet:
-    """Adding c re-checks, each once, exactly the obligations whose product
-    agreed with c on x_i..x_n before the add, those whose power c changed
-    (by nmp_table of the set before and after) and c's own: the obligations
-    _LiveCompletion's docstring shows c can change."""
+    """Adding c re-checks, each once, exactly the obligations whose power c
+    changes, those whose descent path c crosses (by the definitional
+    descent, helpers.descent_path) and c's own: the path rule of
+    _LiveCompletion's docstring. That is a subset of what the run rule
+    (helpers.run_rule_rechecks) re-checked, and holds every obligation whose
+    record a fresh state of the new set differs in. The path each record
+    keeps is held to the definition too."""
 
     @staticmethod
-    def assert_rechecks(live, nvars, c):
-        agreeing = {
-            (t, i)
-            for (t, i), (w, _) in live.checked.items()
-            if w[i - 1 :] == c.exponents[i - 1 :]
-        }
-        before = nmp_table(TermSet(nvars, live.columns))
+    def crossed(columns, checked, c):
+        out = set()
+        for key, (w, _) in checked.items():
+            picks, failed = descent_path(columns, w)
+            for l, p in zip(range(len(w), failed, -1), picks):
+                if c.exponents[l - 1] != p:  # the highest row where c leaves
+                    enters = p < c.exponents[l - 1] <= w[l - 1]
+                    break
+            else:
+                enters = failed > 0 and c.exponents[failed - 1] <= w[failed - 1]
+            if enters:
+                out.add(key)
+        return out
+
+    @staticmethod
+    def assert_paths(live):
+        for key, (w, s) in live.checked.items():
+            picks, failed = descent_path(live.columns, w)
+            p = live.paths[key]
+            assert p.exponents[::-1][: len(picks)] == tuple(picks)
+            if s is None:
+                assert failed > 0 and p.exponents[failed - 1] > w[failed - 1]
+            else:
+                assert failed == 0 and p is s
+
+    @classmethod
+    def assert_rechecks(cls, live, nvars, c):
+        cls.assert_paths(live)
+        columns, checked = list(live.columns), dict(live.checked)
+        agreeing, changed, own = run_rule_rechecks(nvars, checked, columns, c)
+        crossed = cls.crossed(columns, checked, c)
         seen = []
         live._check = lambda t, i: (seen.append((t, i)), type(live)._check(live, t, i))
         live.add(c)
         del live._check
-        after = nmp_table(TermSet(nvars, live.columns))
-        changed = {
-            (t, i)
-            for t, nmp in before.items()
-            for i, k in after[t].items()
-            if nmp.get(i) != k
-        }
-        own = {(c, i) for i in after[c]}
+        fresh = _LiveCompletion(TermSet(nvars, live.columns)).checked
+        moved = {key for key, record in fresh.items() if checked.get(key) != record}
         assert len(seen) == len(set(seen))
-        assert set(seen) == agreeing | changed | own
-        return len(seen)
+        assert set(seen) == changed | crossed | own
+        assert moved <= set(seen) <= agreeing | changed | own
+        cls.assert_paths(live)
+        return len(seen), len(agreeing | changed | own)
 
     def test_completion_adds(self):
-        adds = rechecks = 0
+        adds = rechecks = run_rule = 0
         for ts in live_sets():
             live = _LiveCompletion(ts)
             while (c := live.next_failing()) is not None:
-                rechecks += self.assert_rechecks(live, ts.nvars, c)
+                seen, candidates = self.assert_rechecks(live, ts.nvars, c)
+                rechecks += seen
+                run_rule += candidates
                 adds += 1
-        assert adds >= 300 and rechecks >= 3000
+        assert adds >= 300 and run_rule >= 3000
+        assert 1500 <= rechecks < run_rule
 
     def test_arbitrary_adds(self):
         # a completion add has no run below it at row 1, as a column there
@@ -576,8 +644,29 @@ class TestRecheckSet:
             for _ in range(5):
                 c = random_term(rng, ts.nvars, 9)
                 if c not in live.nmp:
-                    rechecks += self.assert_rechecks(live, ts.nvars, c)
-        assert rechecks >= 1000
+                    rechecks += self.assert_rechecks(live, ts.nvars, c)[0]
+        assert rechecks >= 800
+
+
+class TestCompletionWork:
+    """The path rule's saving as a count of descents, with no timing."""
+
+    def test_descents_on_300_terms_in_6_variables(self, monkeypatch):
+        # measured: 7,962 descents while adding 700 terms; the run rule,
+        # which re-checked every obligation whose product agrees with the
+        # added term on x_i..x_n, made 146,621
+        rng = random.Random(199)
+        terms = set()
+        while len(terms) < 300:
+            terms.add(random_term(rng, 6, 4))
+        calls = []
+        check = _LiveCompletion._check
+        monkeypatch.setattr(
+            _LiveCompletion, "_check", lambda live, t, i: calls.append(1) or check(live, t, i)
+        )
+        _, report = complete(TermSet(6, terms))
+        assert len(report.added) == 700
+        assert len(calls) <= 8000
 
 
 class TestCompleteness:
