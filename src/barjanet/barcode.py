@@ -212,6 +212,24 @@ class BarCode:
         return f"BarCode(vars={self._nvars}, cols={self.ncols})"
 
 
+def next_powers(bc: BarCode) -> list[dict[int, int]]:
+    """Entry c: the nonmultiplicative powers {i: k_i} of the 0-based column
+    c, by increasing i, in a dict of its own. Columns c and c + 1 of depth d
+    agree on x_(d+1)..x_n, so right to left column c shares column c + 1's
+    powers above d, has the gap between their x_d-exponents at d and none
+    below d (its bars there are starred). The last column has none."""
+    exps = [t.exponents for t in bc.labels]
+    out = [{}]
+    kept: list[tuple[int, int]] = []  # column c + 1's (i, k_i), highest i first
+    for d, left, right in zip(reversed(bc._depths), reversed(exps[:-1]), reversed(exps)):
+        while kept and kept[-1][0] <= d:
+            kept.pop()
+        kept.append((d, right[d - 1] - left[d - 1]))
+        out.append(dict(reversed(kept)))
+    out.reverse()
+    return out
+
+
 def next_bars(bc: BarCode) -> list[tuple[tuple[int, int, int, int], ...]]:
     """Entry c: one (i, e, lo, hi) per row i where the bar under the 0-based
     column c is unstarred, by increasing i; the next i-bar covers the columns
@@ -219,6 +237,8 @@ def next_bars(bc: BarCode) -> list[tuple[tuple[int, int, int, int], ...]]:
     or after c of depth d >= i, and it is unstarred exactly when d = i. So,
     right to left, the boundary right of c gives row d a record and the rows
     below d a star, while the rows above d keep column c + 1's records.
+    is_complete reads the bounds for its descents; next_powers reads the
+    powers alone.
     """
     labels, depths, m = bc.labels, bc._depths, bc.ncols
     out = [()] * m
@@ -392,12 +412,21 @@ def render_ascii(bc: BarCode, stars: StarPlacement | None = None) -> str:
 
 
 def to_json_dict(bc: BarCode, stars: StarPlacement | None = None) -> dict:
-    doc = {
-        "vars": bc.nvars,
-        "columns": bc.ncols,
-        "rows": [list(bc.one_lengths(i)) for i in range(1, bc.nvars + 1)],
-        "labels": [format_term(t) for t in bc.labels],
-    }
+    """The render command's document: the shape, the labels and, when given,
+    the stars."""
+    doc = _shape_to_json(bc)
+    doc["labels"] = [format_term(t) for t in bc.labels]
     if stars is not None:
         doc["stars"] = [[i, j] for i, j in stars]
     return doc
+
+
+def stars_to_json(bc: BarCode, stars: StarPlacement) -> dict:
+    """The stars command's document: to_json_dict's less the labels, which
+    it never formats."""
+    return {**_shape_to_json(bc), "stars": [[i, j] for i, j in stars]}
+
+
+def _shape_to_json(bc: BarCode) -> dict:
+    rows = [list(bc.one_lengths(i)) for i in range(1, bc.nvars + 1)]
+    return {"vars": bc.nvars, "columns": bc.ncols, "rows": rows}

@@ -21,6 +21,7 @@ from .barcode import (
     render_ascii,
     star_positions,
     star_set,
+    stars_to_json,
     to_json_dict,
 )
 from .corners import corner_to_json, infinite_corners
@@ -201,9 +202,7 @@ def _run(args) -> tuple[str, int]:
     if args.command == "stars":
         stars = star_positions(bc)
         if args.format == "json":
-            doc = to_json_dict(bc, stars)
-            del doc["labels"]
-            return json.dumps(doc, indent=2), EXIT_OK
+            return json.dumps(stars_to_json(bc, stars), indent=2), EXIT_OK
         lines = [
             f"row {i}: after bars {', '.join(map(str, bars))}"
             for i, bars in enumerate(stars.rows, 1)
@@ -220,8 +219,8 @@ def _run(args) -> tuple[str, int]:
     if args.command == "nmp":
         table = nmp_table(terms, bc)
         powers = (
-            (format_term(t), [format_power(i, k) for i, k in table[t].items()])
-            for t in terms
+            (format_term(t), [format_power(i, k) for i, k in nmp.items()])
+            for t, nmp in table.items()
         )
         if args.format == "json":
             doc = {"vars": terms.nvars, "nmp": dict(powers)}

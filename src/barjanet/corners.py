@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .janet import nmp_table
 from .terms import Term, TermSet, variable_text
@@ -46,7 +47,8 @@ class CornerVector:
         return self.entries[i - 1] is INF
 
     def format(self) -> str:
-        return "*".join([variable_text(i) + _entry_text(e) for i, e in enumerate(self.entries, 1)])
+        variables = map(variable_text, range(1, len(self.entries) + 1))
+        return "*".join(map(add, variables, map(_entry_text, self.entries)))
 
     def __str__(self):
         return self.format()
@@ -56,16 +58,25 @@ def infinite_corners(
     terms: TermSet,
     table: dict[Term, dict[int, int]] | None = None,
 ) -> dict[Term, CornerVector]:
-    """Corner vector for every term of the set, keyed in lex order."""
+    """Corner vector for every term of the set, keyed in lex order; table is
+    the set's nmp_table, built when not given.
+
+    Read in decreasing lex order: the last term is infinite everywhere. A
+    term t whose lowest power is x_d^(k_d) agrees with the next term above
+    x_d and has its powers there, so it takes the next term's entries above
+    x_d, the cap t_d + k_d - 1 at x_d and infinity below x_d.
+    """
     if table is None:
         table = nmp_table(terms)
-    out: dict[Term, CornerVector] = {}
-    for t in terms:
-        entries = [INF] * terms.nvars
-        for i, k in table[t].items():
-            entries[i - 1] = t.exponents[i - 1] + k - 1
-        out[t] = CornerVector(tuple(entries))
-    return out
+    entries = infinite = (INF,) * terms.nvars
+    vecs = []
+    for t in reversed(terms.terms):
+        for d, k in table[t].items():  # the lowest power comes first
+            entries = (*infinite[: d - 1], t.exponents[d - 1] + k - 1, *entries[d:])
+            break
+        vecs.append(CornerVector(entries))
+    vecs.reverse()
+    return dict(zip(terms.terms, vecs))
 
 
 def corner_to_json(vec: CornerVector) -> list:

@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .barcode import BarCode, descend_columns, next_bars, star_positions
+from .barcode import BarCode, descend_columns, next_bars, next_powers, star_positions
 from .errors import (
     CompletionBoundError,
     EmptyInputError,
@@ -107,20 +107,19 @@ def janet_divisor(terms: TermSet, w: Term) -> Term | None:
 def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, dict[int, int]]:
     """The nonmultiplicative powers {i: k_i} of every term, read off the bar
     code; the variables without one are multiplicative (Gerdt and Blinkov,
-    CASC 2005). Terms are keyed in lex order, each dict by increasing i.
+    CASC 2005). Terms are keyed in lex order, each dict by increasing i, and
+    no two terms share a dict (complete() updates them in place).
 
-    A missing star after the row-i bar under t means x_i is
-    nonmultiplicative, and then the gap to the x_i-exponent shared by the
-    labels over the next i-bar is the power k_i (see next_bars).
+    The lex-last term has none. A term whose lex-next neighbour agrees with
+    it above x_d and differs at x_d has the power x_d^(k_d), k_d the gap
+    between their x_d-exponents, none below x_d, and the neighbour's powers
+    above x_d (see next_powers).
     """
     if len(terms) == 0:
         raise EmptyInputError("cannot annotate an empty set")
     if bc is None:
         bc = BarCode.build(terms)
-    return {
-        t: {i: e - t.exponents[i - 1] for i, e, _, _ in bars}
-        for t, bars in zip(bc.labels, next_bars(bc))
-    }
+    return dict(zip(bc.labels, next_powers(bc)))
 
 
 def nmp_table_bruteforce(terms: TermSet) -> dict[Term, dict[int, int]]:

@@ -144,6 +144,20 @@ def multiplicative(nvars: int, nmp: dict[int, int]) -> frozenset[int]:
     return frozenset(range(1, nvars + 1)).difference(nmp)
 
 
+def corners_by_definition(
+    terms: TermSet, table: dict[Term, dict[int, int]]
+) -> dict[Term, CornerVector]:
+    """infinite_corners one term at a time: every entry infinite, except
+    t_i + k_i - 1 for each power x_i^(k_i) in the table."""
+    out = {}
+    for t in terms:
+        entries = [INF] * terms.nvars
+        for i, k in table[t].items():
+            entries[i - 1] = t.exponents[i - 1] + k - 1
+        out[t] = CornerVector(tuple(entries))
+    return out
+
+
 def stars_by_definition(terms: TermSet) -> tuple[tuple[int, ...], ...]:
     """Per row i, the bars j of row i that a star follows, by definition: the
     bars are the runs of equal pi^i, read off the sorted terms alone, and a
@@ -315,6 +329,36 @@ def janet_like_basis_by_fractions(points: PointSet):
     completed, _ = complete(monomial_generators(escalier))
     basis = [Polynomial.from_term(t) - interpolant(t) for t in completed.terms]
     return escalier, basis
+
+
+def benchmark_shaped_sets(seed):
+    """Sets like the annotate benchmark's, smaller: random sets and order
+    ideals of a few hundred terms in 5-6 variables, 1-variable sets and
+    single terms."""
+    rng = random.Random(seed)
+    for nvars in (5, 6):
+        yield TermSet(nvars, [random_term(rng, nvars, 6) for _ in range(300)])
+        yield grown_order_ideal(rng, nvars, 250)
+        yield TermSet(nvars, [random_term(rng, nvars, 3)])
+    yield TermSet(1, [Term((e,)) for e in rng.sample(range(200), 40)])
+    yield TermSet(1, [Term((7,))])
+
+
+def sparse_wide_sets(seed):
+    """Sets in 64 to 1,024 variables with one to four nonzero exponents per
+    term. Pooled ones draw from 8 variables, x1 and x_n among them, so terms
+    share variables; the others draw from all n."""
+    rng = random.Random(seed)
+    for nvars, size in ((64, 60), (256, 30), (1024, 12)):
+        pool = rng.sample(range(1, nvars - 1), 6) + [0, nvars - 1]
+        for support in (pool, range(nvars)):
+            terms = set()
+            while len(terms) < size:
+                exps = [0] * nvars
+                for v in rng.sample(support, rng.randint(1, 4)):
+                    exps[v] = rng.randint(1, 3)
+                terms.add(Term(exps))
+            yield TermSet(nvars, terms)
 
 
 def sparse_ci_terms() -> TermSet:

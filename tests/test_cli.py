@@ -28,6 +28,7 @@ from helpers import (
     janet_like_basis_by_fractions,
     polynomial_from_json,
     random_term,
+    random_term_set,
 )
 
 SIX_TERMS_FILE = "vars: 3\nx1^5\nx1^2*x2\nx1*x2^4\nx1^2*x3^2\nx1*x2^2*x3^2\nx3^5\n"
@@ -168,6 +169,36 @@ class TestRenderAndStars:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("x1^5")
+
+    def test_stars_json_is_render_json_less_the_labels(self, tmp_path, capsys):
+        rng = random.Random(271)
+        texts = [SIX_TERMS_FILE, "vars: 1\nx1^4\n"]
+        for _ in range(20):
+            ts = random_term_set(rng, max_vars=5, max_terms=30, max_exp=4)
+            texts.append(f"vars: {ts.nvars}\n" + "\n".join(map(format_term, ts)) + "\n")
+        for text in texts:
+            path = write(tmp_path, "u.terms", text)
+            assert main(["render", path, "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["labels"]
+            assert main(["stars", path, "--format", "json"]) == 0
+            assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+    def test_stars_json_formats_no_label(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return format_term(t)
+
+        monkeypatch.setattr("barjanet.barcode.format_term", counting)
+        monkeypatch.setattr("barjanet.cli.format_term", counting)
+        path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
+        assert main(["stars", path, "--format", "json"]) == 0
+        assert calls == []
+        assert main(["render", path, "--format", "json"]) == 0
+        assert len(calls) == 6
+        capsys.readouterr()
 
     def test_stars_text(self, tmp_path, capsys):
         path = write(tmp_path, "u.terms", SIX_TERMS_FILE)

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from barjanet import (
     INF,
     CornerVector,
@@ -16,11 +18,13 @@ from barjanet import (
     parse_term_set,
 )
 from helpers import (
+    benchmark_shaped_sets,
+    corners_by_definition,
     grown_order_ideal,
     in_semigroup_ideal,
-    multiplicative,
     random_term,
     random_term_set,
+    sparse_wide_sets,
 )
 
 
@@ -112,19 +116,7 @@ class TestGeneralProperties:
             sets.append(TermSet(nvars, [random_term(rng, nvars, 5) for _ in range(250)]))
             sets.append(grown_order_ideal(rng, nvars, 200))
         for ts in sets:
-            oracle = nmp_table_bruteforce(ts)
-            expected = {
-                t: CornerVector(
-                    tuple(
-                        INF
-                        if i in multiplicative(ts.nvars, oracle[t])
-                        else t.deg(i) + oracle[t][i] - 1
-                        for i in range(1, ts.nvars + 1)
-                    )
-                )
-                for t in ts
-            }
-            assert infinite_corners(ts) == expected
+            assert infinite_corners(ts) == corners_by_definition(ts, nmp_table_bruteforce(ts))
 
     def test_text_form(self):
         assert CornerVector((INF, 2)).format() == "x1^inf*x2^2"
@@ -144,3 +136,31 @@ class TestGeneralProperties:
                 )
                 assert CornerVector(entries).format() == expected
                 assert str(CornerVector(entries)) == expected
+
+
+class TestCornerOracle:
+    """infinite_corners reads each term's vector off the lex-next term's; the
+    oracle builds every vector from its own powers alone."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """(set, definitional table): random sets in 1-6 variables, sets
+        shaped like the annotate benchmark's, and sparse sets in 64-1,024
+        variables."""
+        rng = random.Random(239)
+        sets = [random_term_set(rng, max_vars=6, max_terms=40, max_exp=5) for _ in range(150)]
+        sets += [*benchmark_shaped_sets(241), *sparse_wide_sets(251)]
+        return [(ts, nmp_table_bruteforce(ts)) for ts in sets]
+
+    def test_equals_oracle_without_table(self, cases):
+        for ts, oracle in cases:
+            assert infinite_corners(ts) == corners_by_definition(ts, oracle)
+
+    def test_equals_oracle_with_definitional_table(self, cases):
+        for ts, oracle in cases:
+            assert infinite_corners(ts, oracle) == corners_by_definition(ts, oracle)
+
+    def test_keys_in_lex_order(self, cases):
+        for ts, oracle in cases:
+            for corners in (infinite_corners(ts), infinite_corners(ts, oracle)):
+                assert list(corners) == list(ts.terms) == sorted(ts.terms)

@@ -34,6 +34,7 @@ from barjanet import (
 from barjanet import barcode
 from barjanet.janet import _LiveCompletion
 from helpers import (
+    benchmark_shaped_sets,
     complete_by_rebuild,
     descent_path,
     divisor_closure,
@@ -47,6 +48,7 @@ from helpers import (
     random_term_set,
     run_rule_rechecks,
     sparse_ci_terms,
+    sparse_wide_sets,
     stars_by_definition,
 )
 
@@ -144,6 +146,21 @@ class TestNmpTable:
         for table in tables:
             assert all(list(nmp) == sorted(nmp) for nmp in table.values())
 
+    def test_every_term_has_a_dict_of_its_own(self):
+        # complete() updates the powers in place, so a dict shared by two
+        # terms would change the powers of both
+        rng = random.Random(257)
+        sets = [random_term_set(rng, max_vars=6, max_terms=40, max_exp=5) for _ in range(100)]
+        sets += [*benchmark_shaped_sets(263), *sparse_wide_sets(269)]
+        for ts in sets:
+            table = nmp_table(ts)
+            assert len({id(nmp) for nmp in table.values()}) == len(ts)
+            before = {t: dict(nmp) for t, nmp in table.items()}
+            for t in ts.terms[:: max(1, len(ts) // 5)]:
+                table[t][0] = 1  # no variable has index 0
+                assert all(nmp == before[u] for u, nmp in table.items() if u != t)
+                del table[t][0]
+
     def test_derived_multiplicative_equals_definition(self):
         # a table stores only the powers; the variables without one must be
         # the Janet multiplicative variables of the definitional scan
@@ -153,19 +170,6 @@ class TestNmpTable:
             for t, nmp in nmp_table_bruteforce(ts).items():
                 assert multiplicative(ts.nvars, nmp) == multiplicative_variables(ts, t)
                 assert all(k >= 1 for k in nmp.values())
-
-
-def benchmark_shaped_sets(seed):
-    """Sets like the annotate benchmark's, smaller: random sets and order
-    ideals of a few hundred terms in 5-6 variables, 1-variable sets and
-    single terms."""
-    rng = random.Random(seed)
-    for nvars in (5, 6):
-        yield TermSet(nvars, [random_term(rng, nvars, 6) for _ in range(300)])
-        yield grown_order_ideal(rng, nvars, 250)
-        yield TermSet(nvars, [random_term(rng, nvars, 3)])
-    yield TermSet(1, [Term((e,)) for e in rng.sample(range(200), 40)])
-    yield TermSet(1, [Term((7,))])
 
 
 class TestFastPathsAtScale:
@@ -189,23 +193,6 @@ class TestFastPathsAtScale:
                 assert multiplicative_variables_from_stars(
                     bc, t
                 ) == multiplicative_variables(ts, t)
-
-
-def sparse_wide_sets(seed):
-    """Sets in 64 to 1,024 variables with one to four nonzero exponents per
-    term. Pooled ones draw from 8 variables, x1 and x_n among them, so terms
-    share variables; the others draw from all n."""
-    rng = random.Random(seed)
-    for nvars, size in ((64, 60), (256, 30), (1024, 12)):
-        pool = rng.sample(range(1, nvars - 1), 6) + [0, nvars - 1]
-        for support in (pool, range(nvars)):
-            terms = set()
-            while len(terms) < size:
-                exps = [0] * nvars
-                for v in rng.sample(support, rng.randint(1, 4)):
-                    exps[v] = rng.randint(1, 3)
-                terms.add(Term(exps))
-            yield TermSet(nvars, terms)
 
 
 class TestSparseWideSets:
