@@ -51,16 +51,19 @@ EXIT_INTERNAL = 4
 MAX_BASIS_POINTS = 250  # basis is O(m^3) in the points; README gives timings
 _BOM = "\ufeff"  # the byte-order mark some editors write at the start of a file
 
-_TERM_COMMANDS = (
-    "render",
-    "nmp",
-    "stars",
-    "star-set",
-    "check-complete",
-    "complete",
-    "corners",
-)
-_POINT_COMMANDS = ("escalier", "basis")
+# every command and its help, in the order --help lists them
+_COMMANDS = {
+    "render": "draw the bar code of a term set with its stars",
+    "nmp": "nonmultiplicative powers of every term",
+    "stars": "star positions of the bar code",
+    "star-set": "star set of an order ideal",
+    "check-complete": "exit 0 when the set is Janet-like complete, 3 otherwise",
+    "complete": "complete the set, printing added terms",
+    "corners": "corner vectors of every term",
+    "escalier": "lex escalier of the vanishing ideal of points",
+    "basis": "reduced Janet-like basis of the vanishing ideal of points",
+}
+_POINT_COMMANDS = ("escalier", "basis")  # the rest read term sets
 
 
 @functools.cache
@@ -74,19 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "render": "draw the bar code of a term set with its stars",
-        "nmp": "nonmultiplicative powers of every term",
-        "stars": "star positions of the bar code",
-        "star-set": "star set of an order ideal",
-        "check-complete": "exit 0 when the set is Janet-like complete, 3 otherwise",
-        "complete": "complete the set, printing added terms",
-        "corners": "corner vectors of every term",
-        "escalier": "lex escalier of the vanishing ideal of points",
-        "basis": "reduced Janet-like basis of the vanishing ideal of points",
-    }
-    for name in _TERM_COMMANDS + _POINT_COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, description in _COMMANDS.items():
+        p = sub.add_parser(name, help=description)
         p.add_argument("input", nargs="?", default="-", help="input file, '-' for stdin")
         p.add_argument(
             "--format",
@@ -155,10 +147,14 @@ def _run(args) -> tuple[str, int]:
         if len(points) > MAX_BASIS_POINTS:
             raise InputError(f"basis takes at most {MAX_BASIS_POINTS} points")
         basis = janet_like_basis(points)
-        if args.format == "json":
-            doc = {"vars": points.nvars, "basis": [polynomial_to_json(g) for g in basis]}
-            return json.dumps(doc, indent=2), EXIT_OK
-        return "\n".join(format_polynomial(g) for g in basis), EXIT_OK
+        try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+            if args.format == "json":
+                doc = {"vars": points.nvars, "basis": [polynomial_to_json(g) for g in basis]}
+                return json.dumps(doc, indent=2), EXIT_OK
+            return "\n".join(format_polynomial(g) for g in basis), EXIT_OK
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise InputError(f"a basis coefficient exceeds {limit} digits, the limit") from None
 
     terms = parse_term_set(_read_input(args.input))
     if len(terms) == 0:

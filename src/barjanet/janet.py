@@ -12,9 +12,9 @@ the agreeing terms makes x_i^(k_i) a nonmultiplicative power of t; a
 multiplier for t is any term divisible by none of t's nonmultiplicative
 powers, and t Janet-like divides w when w/t is a multiplier. The divisor of
 t*x_i^(k_i) is the candidate of one bar-code descent, a divisor by
-construction (see _divisor_at), so no table confirms it; TestOnePassCheck and
-TestDescentCandidate (tests/test_janet.py) hold it to the definitional scan
-on every obligation.
+construction (see divisors_for_nm_product), so no table confirms it;
+TestOnePassCheck and TestDescentCandidate (tests/test_janet.py) hold it to
+the definitional scan on every obligation.
 
 complete() keeps one live state across its rounds and re-checks only the
 obligations an added term can change; the round-by-round rebuild it replaces
@@ -190,8 +190,14 @@ def divisors_for_nm_product(
     and s's power at x_l divides w/s), so it lies over the i-bar next to
     t's. At each lower row l, s's power at x_l is the gap to the next bar
     over the same parent, so s_l must be the largest bar exponent not above
-    w_l. One descent finds this only candidate, a divisor by construction
-    (see _divisor_at), so no table confirms it.
+    w_l. One descent from that bar finds this only candidate (w agrees with
+    t below x_i, so t's exponents bound it), and the candidate divides w
+    Janet-like by construction, so no table confirms it:
+    - the next i-bar holds the columns agreeing with w on x_i..x_n, so w/s
+      has no x_i..x_n part;
+    - below row i each pick is at most w_l, so s | w;
+    - the next bar over the same parent sets s's x_l-power and its exponent
+      exceeds w_l, so w_l - s_l is below that power (if x_l has one).
     """
     if bc is None:
         bc = BarCode.build(terms)
@@ -207,23 +213,8 @@ def divisors_for_nm_product(
         raise ValueError(f"{p} is not a nonmultiplicative power of {t}")
     # x_i is nonmultiplicative, so the row-i bar under t is not the last one
     first, last = bc.bar_span(i, bc.bar_of_column(i, bc.column_of(t)) + 1)
-    s = _divisor_at(bc, t, i, first - 1, last)
-    return () if s is None else (s,)
-
-
-def _divisor_at(bc: BarCode, t: Term, i: int, lo: int, hi: int) -> Term | None:
-    """The Janet-like divisor of w = t*x_i^(k_i), for the next i-bar [lo, hi)
-    of t (0-based columns): the column the descent from that bar reaches, or
-    None; w agrees with t below x_i, so t's exponents bound the descent.
-    That candidate s divides w Janet-like:
-    - the next i-bar holds the columns agreeing with w on x_i..x_n, so s
-      agrees with w there and w/s has no x_i..x_n part;
-    - below row i each pick is the largest exponent not above w_l, so s | w;
-    - the next bar over the same parent sets s's x_l-power and its exponent
-      exceeds w_l, so w_l - s_l is below that power (if x_l has one).
-    """
-    c = descend_columns(bc.exponent_columns(), lo, hi, i, t.exponents)
-    return bc.labels[c] if c >= 0 else None
+    c = descend_columns(bc.exponent_columns(), first - 1, last, i, t.exponents)
+    return (bc.labels[c],) if c >= 0 else ()
 
 
 def _powers(nvars: int):
@@ -242,7 +233,7 @@ def is_complete(terms: TermSet) -> CompletionReport:
     witnesses = []
     for t, bars in zip(labels, next_bars(bc)):
         exps = t.exponents
-        for i, e, lo, hi in bars:  # _divisor_at, inlined
+        for i, e, lo, hi in bars:  # divisors_for_nm_product's descent
             c = descend_columns(columns, lo, hi, i, exps)
             witnesses.append(Witness(t, power(i, e - exps[i - 1]), labels[c] if c >= 0 else None))
     return CompletionReport(all(w.divisor is not None for w in witnesses), tuple(witnesses))
@@ -298,10 +289,11 @@ class _LiveCompletion:
     entries whose obligation has changed since are skipped.
 
     The descent starts from row n+1 and picks w_l on rows n..i, as t and the
-    term that sets k_i are columns; below, it is _divisor_at's descent, so s
-    is a divisor. At row l it picks p_l, the largest x_l-exponent not above
-    w_l among the columns agreeing with the picks above, or fails there (row
-    f). The path column has every pick, so f is its highest row above w.
+    term that sets k_i are columns; below, it is divisors_for_nm_product's
+    descent, so s is a divisor. At row l it picks p_l, the largest
+    x_l-exponent not above w_l among the columns agreeing with the picks
+    above, or fails there (row f). The path column has every pick, so f is
+    its highest row above w.
 
     Adding c changes the record of (t, i) only if it changes k_i or enters
     the descent. Entering, c agrees with w on x_i..x_n and, at the highest

@@ -155,10 +155,6 @@ class Polynomial:
         self.coefficients = coeffs
 
     @classmethod
-    def zero(cls, nvars: int) -> Polynomial:
-        return cls(nvars)
-
-    @classmethod
     def from_term(cls, t: Term, coeff: Fraction | int = 1) -> Polynomial:
         return cls(t.nvars, {t: Fraction(coeff)})
 
@@ -186,9 +182,6 @@ class Polynomial:
             raise EmptyInputError("the zero polynomial has no leading term")
         return max(self.coefficients)
 
-    def support(self) -> tuple[Term, ...]:
-        return tuple(sorted(self.coefficients))
-
     def __add__(self, other: Polynomial) -> Polynomial:
         if self.nvars != other.nvars:
             raise DimensionError("polynomials live in different rings")
@@ -200,12 +193,6 @@ class Polynomial:
 
     def __neg__(self) -> Polynomial:
         return Polynomial(self.nvars, {t: -c for t, c in self.coefficients.items()})
-
-    def scale(self, factor: Fraction | int) -> Polynomial:
-        factor = Fraction(factor)
-        return Polynomial(
-            self.nvars, {t: c * factor for t, c in self.coefficients.items()}
-        )
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         pt = tuple(Fraction(c) for c in point)

@@ -8,11 +8,13 @@ Conventions used throughout the package:
   differing variable decides.
 
 Term-set lines take two routes: a product line such as x1^2*x3 is split on "*",
-and each distinct piece of a file is matched once as one factor (_read_line);
-every other line, and any index out of range, number over 18 digits or exponent
-over the cap, goes to parse_term, the only source of TermSyntaxError and the oracle.
-Without a header, the distinct pieces give n first. Term._valid skips Term's checks:
-only _read_line, parse_term and janet._LiveCompletion call it, each saying why.
+and each distinct piece of a file is matched once as one factor (_read_line, the
+only writer of the file's piece memo); every other line, and any index out of
+range, number over 18 digits or exponent over the cap, goes to parse_term, the
+only source of TermSyntaxError and the oracle. Without a header, n is first read
+off the largest "x<digits>" index of the distinct pieces, a bounded batch at a
+time (_widest). Term._valid skips Term's checks: only _read_line, parse_term and
+janet._LiveCompletion call it, each saying why.
 """
 
 from __future__ import annotations
@@ -287,9 +289,7 @@ def parse_term(text: str, nvars: int, line: int | None = None) -> Term:
             pos += 1
         if start == pos:
             err(f"expected {what}", start)
-        digits = src[start:pos]
-        # the helper call is kept off the common path: parsing is hot
-        value = int(digits) if len(digits) < 19 else _bounded_nat(digits, MAX_EXPONENT)
+        value = _bounded_nat(src[start:pos], MAX_EXPONENT)
         if value > MAX_EXPONENT:
             err(f"{what} exceeds the cap {MAX_EXPONENT}", start)
         return value
@@ -421,7 +421,6 @@ def parse_term_set(text: str) -> TermSet:
     if nvars is not None:
         content = content[1:]
 
-    pieces: dict[str, tuple[int, int]] = {}
     if nvars is None:
         # n before any term is read: the exponent lists' length, or the largest
         # index among the product lines' distinct pieces (see _widest)
@@ -432,8 +431,8 @@ def parse_term_set(text: str) -> TermSet:
             else:
                 batch.update(body.split("*"))
                 if len(batch) > _MAX_PIECES:
-                    max_index = max(max_index, _widest(batch, pieces))
-        max_index = max(max_index, _widest(batch, pieces))
+                    max_index = max(max_index, _widest(batch))
+        max_index = max(max_index, _widest(batch))
         if max(lengths | {max_index}) > MAX_VARS:
             raise TermSyntaxError(f"more than {MAX_VARS} variables, the limit")
         if len(lengths) > 1:
@@ -441,23 +440,16 @@ def parse_term_set(text: str) -> TermSet:
         nvars = lengths.pop() if lengths else max(max_index, 1)
         if max_index > nvars:
             raise TermSyntaxError(f"variable index {max_index} exceeds exponent-list length {nvars}")
+    pieces: dict[str, tuple[int, int]] = {}
     terms = [_read_line(body, nvars, line_no, pieces) for line_no, body in content]
     return TermSet(nvars, terms)
 
 
-def _widest(batch: set, pieces: dict) -> int:
-    """Largest index in batch's pieces not yet in pieces, which keeps the ones
-    the product grammar matches, in its cap. No "x<digits>" spans a "*". batch
-    is emptied: a file's distinct pieces are held a batch at a time."""
-    max_index = 0
-    for piece in batch.difference(pieces):
-        if m := _PIECE.fullmatch(piece):
-            index = int(m[1])
-            if index and len(pieces) < _MAX_PIECES:
-                pieces[piece] = (index - 1, int(m[2] or 1))
-        else:
-            found = _VAR_INDEX.findall(piece)
-            index = max((_bounded_nat(d, MAX_VARS) for d in found), default=0)
-        max_index = max(max_index, index)
+def _widest(batch: set) -> int:
+    """Largest "x<digits>" index among batch's pieces, MAX_VARS + 1 above
+    MAX_VARS. No "x<digits>" spans a "*", so the pieces are searched joined
+    by one. batch is emptied: a file's distinct pieces are held a batch at a
+    time."""
+    found = _VAR_INDEX.findall("*".join(batch))
     batch.clear()
-    return max_index
+    return max((_bounded_nat(d, MAX_VARS) for d in found), default=0)

@@ -134,6 +134,11 @@ def random_polynomial(rng: random.Random, nvars: int, max_exp: int = 3):
     return Polynomial(nvars, coeffs)
 
 
+def scaled(f: Polynomial, a: Fraction) -> Polynomial:
+    """a * f, built term by term through the constructor."""
+    return Polynomial(f.nvars, {t: a * c for t, c in f.coefficients.items()})
+
+
 def nm_powers(nvars: int, nmp: dict[int, int]) -> tuple[Term, ...]:
     """The powers x_i^(k_i) of one nmp_table entry, by increasing i."""
     return tuple(Term.variable(nvars, i, k) for i, k in sorted(nmp.items()))
@@ -361,15 +366,19 @@ def sparse_wide_sets(seed):
             yield TermSet(nvars, terms)
 
 
-def sparse_ci_terms() -> TermSet:
-    """The CI's sparse input: 300 terms in 1,024 variables, each with one to
-    four factors of exponent 1 to 5 (random.Random(3))."""
+def sparse_ci_text() -> str:
+    """The CI's sparse input file: 300 terms in 1,024 variables, each with one
+    to four factors of exponent 1 to 5 (random.Random(3))."""
     rng = random.Random(3)
     texts = set()
     while len(texts) < 300:
         support = rng.sample(range(1, 1025), rng.randint(1, 4))
         texts.add("*".join(f"x{v}^{rng.randint(1, 5)}" for v in sorted(support)))
-    return parse_term_set("vars: 1024\n" + "\n".join(sorted(texts)))
+    return "vars: 1024\n" + "\n".join(sorted(texts))
+
+
+def sparse_ci_terms() -> TermSet:
+    return parse_term_set(sparse_ci_text())
 
 
 # Readers of the CLI's JSON output, the inverses of to_json_dict,

@@ -42,6 +42,7 @@ from helpers import (
     random_polynomial,
     random_term,
     random_term_set,
+    scaled,
 )
 
 SIX_TERMS_FILE = "vars: 3\nx1^5\nx1^2*x2\nx1*x2^4\nx1^2*x3^2\nx1*x2^2*x3^2\nx3^5\n"
@@ -265,7 +266,7 @@ def test_criterion_10_points_pipeline():
         b = F(rng.randint(-6, 6), rng.randint(1, 6))
         nf_f = normal_form(f, escalier, X)
         nf_h = normal_form(h, escalier, X)
-        assert normal_form(f.scale(a) + h.scale(b), escalier, X) == nf_f.scale(a) + nf_h.scale(b)
+        assert normal_form(scaled(f, a) + scaled(h, b), escalier, X) == scaled(nf_f, a) + scaled(nf_h, b)
         assert normal_form(nf_f, escalier, X) == nf_f
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

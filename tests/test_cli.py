@@ -295,6 +295,27 @@ class TestPointsCommands:
         assert main(["escalier", path]) == 0
         assert len(capsys.readouterr().out.splitlines()) == limit + 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_basis_coefficient_over_the_digit_limit(self, tmp_path, capsys, fmt):
+        # coordinates p/q of 1,500 digits each give basis coefficients longer
+        # than str() of an int takes; the limit is named on one line
+        rng = random.Random(1)
+
+        def rational():
+            return f"{rng.randrange(10**1499, 10**1500)}/{rng.randrange(10**1499, 10**1500)}"
+
+        body = "".join(f"{rational()},{rational()}\n" for _ in range(3))
+        path = write(tmp_path, "x.points", body)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+        try:
+            code = main(["basis", path, "--format", fmt])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: a basis coefficient exceeds 4300 digits, the limit\n"
+
     def test_escalier_in_max_vars(self, tmp_path, capsys):
         rng = random.Random(4431)
         rows = [",".join(str(rng.randint(-2, 2)) for _ in range(MAX_VARS)) for _ in range(3)]
@@ -637,7 +658,7 @@ class TestParserReuse:
         terms = write(tmp_path, "u.terms", INCOMPLETE_FILE)
         ideal = write(tmp_path, "ideal.terms", ORDER_IDEAL_FILE)
         points = write(tmp_path, "u.points", POINTS_FILE)
-        paths = dict.fromkeys(cli._TERM_COMMANDS, terms)
+        paths = dict.fromkeys(cli._COMMANDS, terms)
         paths.update({"star-set": ideal, "escalier": points, "basis": points})
         return paths
 
@@ -682,6 +703,15 @@ class TestParserReuse:
             assert (code, err) == (("SystemExit", 0), "")
             assert out.startswith("usage: barjanet")
         assert shared == [outcome(fresh_main, argv, capsys) for argv in helps]
+
+    def test_usage_line_lists_the_commands_in_order(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, err, _ = outcome(main, ["--help"], capsys)
+        assert (code, err) == (("SystemExit", 0), "")
+        assert out.splitlines()[0] == (
+            "usage: barjanet [-h] {render,nmp,stars,star-set,check-complete,"
+            "complete,corners,escalier,basis} ..."
+        )
 
     def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
         inputs = list(self.inputs(tmp_path).items())

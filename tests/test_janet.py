@@ -516,10 +516,10 @@ def live_sets():
 
 class TestDescentCandidate:
     """No table confirms the descent's candidate in the library: it is a
-    Janet-like divisor by construction (janet._divisor_at). This holds the
-    live state's candidate to the definitional scan on every obligation,
-    after construction and after every added term; TestOnePassCheck does
-    the same for is_complete."""
+    Janet-like divisor by construction (janet.divisors_for_nm_product). This
+    holds the live state's candidate to the definitional scan on every
+    obligation, after construction and after every added term;
+    TestOnePassCheck does the same for is_complete."""
 
     @staticmethod
     def assert_candidates_are_divisors(live, nvars):

@@ -27,7 +27,7 @@ from barjanet.terms import (
     read_term_line,
     variable_text,
 )
-from helpers import random_term
+from helpers import random_term, sparse_ci_terms, sparse_ci_text
 
 
 def t(*exps):
@@ -496,8 +496,9 @@ def headerless(lines):
 
 
 class TestHeaderlessRead:
-    """Without a header, n comes from the file's distinct pieces, matched once
-    into the same pieces dict that then reads the lines."""
+    """Without a header, n is the largest "x<digits>" index among the file's
+    distinct pieces, searched a bounded batch at a time, or the length of its
+    exponent lists; the lines are then read as under a header."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(PRODUCT, ANY_LINE), max_size=8))
@@ -547,6 +548,13 @@ class TestHeaderlessRead:
             expected = TermSet(n, terms)
             assert parse_term_set(body) == expected
             assert parse_term_set(f"vars: {n}\n" + body) == expected
+
+    def test_sparse_ci_input_without_its_header(self):
+        # the x1024 line makes the inferred n the declared one
+        text = sparse_ci_text() + "\nx1024\n"
+        expected = sparse_ci_terms().with_terms([Term.variable(1024, 1024)])
+        assert parse_term_set(text) == expected
+        assert parse_term_set(text.split("\n", 1)[1]) == expected
 
     @pytest.mark.parametrize("cap", [0, 1])
     def test_cap_does_not_change_results(self, monkeypatch, cap):
