@@ -18,7 +18,6 @@ from .barcode import (
     render_ascii,
     star_positions,
     star_set,
-    star_set_bruteforce,
     to_json_dict,
 )
 from .corners import INF, CornerVector, infinite_corners
@@ -40,14 +39,8 @@ from .janet import (
     complete,
     divisors_for_nm_product,
     is_complete,
-    is_multiplier,
-    janet_divisor,
-    janet_implies_janet_like,
-    janet_like_divisors,
-    multiplicative_variables,
     multiplicative_variables_from_stars,
     nmp_table,
-    nmp_table_bruteforce,
 )
 from .points import (
     PointSet,
@@ -67,7 +60,6 @@ from .terms import (
     MAX_VARS,
     Term,
     TermSet,
-    box_terms,
     format_term,
     lex_compare,
     parse_term,

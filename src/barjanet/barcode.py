@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     MembershipError,
 )
-from .terms import Term, TermSet, box_terms, format_term
+from .terms import Term, TermSet, format_term
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,6 @@ class BarCode:
     @property
     def labels(self) -> tuple[Term, ...]:
         return self._labels
-
-    def mu(self, row: int) -> int:
-        """Number of bars in the given row."""
-        return len(self._bar_bounds(row)) - 1
 
     def one_lengths(self, row: int) -> tuple[int, ...]:
         bounds = self._bar_bounds(row)
@@ -363,25 +359,6 @@ def star_set(bc: BarCode) -> TermSet:
         t = bc.label_of_bar(i, j)
         out.append(Term.variable(bc.nvars, i) * t.pi(i))
     return TermSet(bc.nvars, out)
-
-
-def star_set_bruteforce(ideal: TermSet) -> TermSet:
-    """Definitional star set: terms outside the order ideal whose quotient by
-    their minimal variable lies inside. Enumerates a bounding box grown by
-    one in each direction, which contains every candidate."""
-    if not ideal.is_order_ideal():
-        raise AdmissibilityError("the star set is defined for order ideals only")
-    bounds = tuple(b + 1 for b in ideal.bounding_box())
-    out = []
-    for t in box_terms(bounds):
-        if t in ideal:
-            continue
-        i = t.min_variable()
-        if i is None:
-            continue
-        if t / Term.variable(ideal.nvars, i) in ideal:
-            out.append(t)
-    return TermSet(ideal.nvars, out)
 
 
 def render_ascii(bc: BarCode, stars: StarPlacement | None = None) -> str:

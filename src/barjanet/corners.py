@@ -1,14 +1,16 @@
 """Corner vectors: the cone of each term described over N plus infinity.
 
-For a term t of a finite set U, the entry for x_i is infinite when x_i is
-Janet multiplicative for t; otherwise the cone of t is cut off at exponent
+For a term t of a finite set U, the entry for x_i is INF when x_i is Janet
+multiplicative for t; otherwise the cone of t is cut off at exponent
 deg_i(t) + k_i - 1, one below the nonmultiplicative power x_i^(k_i). This is
 the unique bound admitting exactly the multiples of t whose extra i-degree
-stays under k_i.
+stays under k_i. INF is math.inf, so every entry compares with an exponent
+directly, and it formats as "inf".
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
@@ -17,21 +19,7 @@ from .janet import nmp_table
 from .terms import Term, TermSet, variable_text
 
 
-class Infinity:
-    """Explicit unbounded corner entry; a single shared instance."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "inf"
-
-
-INF = Infinity()
+INF = math.inf
 
 
 _entry_text = lru_cache(maxsize=4096)("^{}".format)  # kept like terms.variable_text
@@ -42,9 +30,6 @@ class CornerVector:
     """Per-variable cap of a cone; entries follow the variable order."""
 
     entries: tuple
-
-    def is_infinite(self, i: int) -> bool:
-        return self.entries[i - 1] is INF
 
     def format(self) -> str:
         variables = map(variable_text, range(1, len(self.entries) + 1))

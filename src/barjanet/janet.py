@@ -1,9 +1,8 @@
 """Janet and Janet-like division on finite term sets.
 
-Every quantity here comes in two routes that the test suite holds against
-each other: a definitional scan over the set (the reference), and a fast path
-reading the answer off the bar code. Both are part of the library on purpose;
-the scans are the ground truth the fast paths are checked against.
+Every quantity here is read off the bar code. The definitional scans the
+test suite holds each one against are the reference, and they live outside
+the package, in tests/oracles.py.
 
 Janet: x_j is multiplicative for t in U when no term of U agrees with t on
 all exponents above j and exceeds it at j. Janet-like: when x_i is
@@ -18,7 +17,7 @@ the definitional scan on every obligation.
 
 complete() keeps one live state across its rounds and re-checks only the
 obligations an added term can change; the round-by-round rebuild it replaces
-is its oracle in tests/helpers.py (complete_by_rebuild).
+is its oracle in tests/oracles.py (complete_by_rebuild).
 """
 
 from __future__ import annotations
@@ -57,27 +56,10 @@ class CompletionReport:
         return tuple(w for w in self.witnesses if w.divisor is None)
 
 
-def _agrees_above(u: Term, t: Term, i: int) -> bool:
-    return u.exponents[i:] == t.exponents[i:]
-
-
-def multiplicative_variables(terms: TermSet, t: Term) -> frozenset[int]:
-    """Janet multiplicative variables of t, by the definitional scan."""
-    if t not in terms:
-        raise MembershipError(f"{t} does not belong to the given set")
-    out = set()
-    for i in range(1, terms.nvars + 1):
-        if not any(
-            _agrees_above(u, t, i) and u.exponents[i - 1] > t.exponents[i - 1]
-            for u in terms
-        ):
-            out.add(i)
-    return frozenset(out)
-
-
 def multiplicative_variables_from_stars(bc: BarCode, t: Term) -> frozenset[int]:
-    """Star reading of the same data: x_i is multiplicative for t exactly
-    when the row-i bar under t is followed by a star."""
+    """Janet multiplicative variables of t, read off the stars: x_i is
+    multiplicative for t exactly when the row-i bar under t is followed by a
+    star."""
     col = bc.column_of(t)
     stars = star_positions(bc)
     return frozenset(
@@ -85,23 +67,6 @@ def multiplicative_variables_from_stars(bc: BarCode, t: Term) -> frozenset[int]:
         for i in range(1, bc.nvars + 1)
         if stars.has(i, bc.bar_of_column(i, col))
     )
-
-
-def janet_divisor(terms: TermSet, w: Term) -> Term | None:
-    """The unique t in the set with w = t*v and v supported on t's
-    multiplicative variables, or None."""
-    found = []
-    for t in terms:
-        if not t.divides(w):
-            continue
-        mult = multiplicative_variables(terms, t)
-        if all(e == 0 or i in mult for i, e in enumerate((w / t).exponents, 1)):
-            found.append(t)
-    if len(found) > 1:
-        raise InternalInvariantError(
-            f"{w} has {len(found)} Janet divisors; cones must be disjoint"
-        )
-    return found[0] if found else None
 
 
 def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, dict[int, int]]:
@@ -120,60 +85,6 @@ def nmp_table(terms: TermSet, bc: BarCode | None = None) -> dict[Term, dict[int,
     if bc is None:
         bc = BarCode.build(terms)
     return dict(zip(bc.labels, next_powers(bc)))
-
-
-def nmp_table_bruteforce(terms: TermSet) -> dict[Term, dict[int, int]]:
-    """nmp_table by the definitional max/min scans, no bar code."""
-    if len(terms) == 0:
-        raise EmptyInputError("cannot annotate an empty set")
-    table = {}
-    for t in terms:
-        nmp: dict[int, int] = {}
-        for i in range(1, terms.nvars + 1):
-            group = [u for u in terms if _agrees_above(u, t, i)]
-            h = max(u.exponents[i - 1] for u in group) - t.exponents[i - 1]
-            if h > 0:
-                nmp[i] = min(
-                    u.exponents[i - 1] - t.exponents[i - 1]
-                    for u in group
-                    if u.exponents[i - 1] > t.exponents[i - 1]
-                )
-        table[t] = nmp
-    return table
-
-
-def is_multiplier(
-    terms: TermSet,
-    t: Term,
-    v: Term,
-    table: dict[Term, dict[int, int]] | None = None,
-) -> bool:
-    """True when no nonmultiplicative power of t divides v."""
-    if table is None:
-        table = nmp_table(terms)
-    if t not in table:
-        raise MembershipError(f"{t} does not belong to the given set")
-    t._check_dim(v)
-    return all(v.exponents[i - 1] < k for i, k in table[t].items())
-
-
-def janet_like_divisors(
-    terms: TermSet,
-    w: Term,
-    table: dict[Term, dict[int, int]] | None = None,
-) -> tuple[Term, ...]:
-    """All Janet-like divisors of w in the set, lex-increasing.
-
-    On a complete set there is at most one; during completion an incomplete
-    set may momentarily offer several, so all candidates are returned.
-    """
-    if table is None:
-        table = nmp_table(terms)
-    return tuple(
-        t
-        for t in terms
-        if t.divides(w) and is_multiplier(terms, t, w / t, table)
-    )
 
 
 def divisors_for_nm_product(
@@ -412,9 +323,3 @@ class _LiveCompletion:
             heappush(self.failing, (w[::-1], i, t))
         self.checked[(t, i)] = record
         self.paths[(t, i)] = path
-
-
-def janet_implies_janet_like(terms: TermSet, w: Term) -> bool:
-    """True when w's Janet divisor, if any, is also a Janet-like divisor."""
-    t = janet_divisor(terms, w)
-    return t is None or t in janet_like_divisors(terms, w)

@@ -154,10 +154,6 @@ class Polynomial:
         self.nvars = nvars
         self.coefficients = coeffs
 
-    @classmethod
-    def from_term(cls, t: Term, coeff: Fraction | int = 1) -> Polynomial:
-        return cls(t.nvars, {t: Fraction(coeff)})
-
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 

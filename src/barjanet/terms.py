@@ -19,11 +19,10 @@ janet._LiveCompletion call it, each saying why.
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DimensionError, EmptyInputError, TermSyntaxError
 
@@ -74,12 +73,6 @@ class Term:
     @property
     def nvars(self) -> int:
         return len(self.exponents)
-
-    def deg(self, i: int) -> int:
-        """Exponent of x_i (1-based)."""
-        if not 1 <= i <= self.nvars:
-            raise DimensionError(f"variable index {i} outside 1..{self.nvars}")
-        return self.exponents[i - 1]
 
     @property
     def degree(self) -> int:
@@ -206,9 +199,6 @@ class TermSet:
         inner = ", ".join(format_term(t) for t in self.terms)
         return f"TermSet({self.nvars}, {{{inner}}})"
 
-    def with_terms(self, extra: Iterable[Term]) -> TermSet:
-        return TermSet(self.nvars, self.terms + tuple(extra))
-
     def bounding_box(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the set."""
         if not self.terms:
@@ -231,13 +221,6 @@ class TermSet:
                     if Term(exps) not in self._members:
                         return False
         return True
-
-
-def box_terms(bounds: Sequence[int]) -> Iterator[Term]:
-    """All terms with deg_i <= bounds[i], yielded in lex-increasing order."""
-    ranges = [range(b + 1) for b in reversed(bounds)]
-    for rev in itertools.product(*ranges):
-        yield Term(rev[::-1])
 
 
 def format_term(t: Term) -> str:

@@ -1,8 +1,8 @@
-"""Shared random generators and brute-force reference checks."""
+"""Shared random generators and the readers of the CLI's JSON output. The
+brute-force reference routes live in oracles.py."""
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -10,25 +10,16 @@ from fractions import Fraction
 from barjanet import (
     INF,
     BarCode,
-    CompletionBoundError,
-    CompletionReport,
     CornerVector,
-    EmptyInputError,
-    InternalInvariantError,
     PointSet,
     Polynomial,
     StarPlacement,
     Term,
     TermSet,
-    box_terms,
-    complete,
-    is_complete,
-    monomial_generators,
-    nmp_table,
     parse_term,
     parse_term_set,
 )
-from barjanet.points import eval_term
+from oracles import box_terms
 
 
 def random_term(rng: random.Random, nvars: int, max_exp: int) -> Term:
@@ -149,191 +140,12 @@ def multiplicative(nvars: int, nmp: dict[int, int]) -> frozenset[int]:
     return frozenset(range(1, nvars + 1)).difference(nmp)
 
 
-def corners_by_definition(
-    terms: TermSet, table: dict[Term, dict[int, int]]
-) -> dict[Term, CornerVector]:
-    """infinite_corners one term at a time: every entry infinite, except
-    t_i + k_i - 1 for each power x_i^(k_i) in the table."""
-    out = {}
-    for t in terms:
-        entries = [INF] * terms.nvars
-        for i, k in table[t].items():
-            entries[i - 1] = t.exponents[i - 1] + k - 1
-        out[t] = CornerVector(tuple(entries))
-    return out
-
-
-def stars_by_definition(terms: TermSet) -> tuple[tuple[int, ...], ...]:
-    """Per row i, the bars j of row i that a star follows, by definition: the
-    bars are the runs of equal pi^i, read off the sorted terms alone, and a
-    star follows bar j when pi^(i+1) changes between its last column and the
-    next bar's first, or when j is the last bar."""
-    cols = [u.exponents for u in terms.terms]
-    rows = []
-    for i in range(1, terms.nvars + 1):
-        ends = [c for c in range(1, len(cols)) if cols[c - 1][i - 1 :] != cols[c][i - 1 :]]
-        starred = [j for j, c in enumerate(ends, 1) if cols[c - 1][i:] != cols[c][i:]]
-        rows.append((*starred, len(ends) + 1))
-    return tuple(rows)
-
-
 def all_terms_up_to_degree(nvars: int, max_total: int, cap: int) -> list[Term]:
     out = []
     for exps in itertools.product(range(cap + 1), repeat=nvars):
         if sum(exps) <= max_total:
             out.append(Term(exps))
     return out
-
-
-def complete_by_rebuild(terms: TermSet) -> tuple[TermSet, CompletionReport]:
-    """Reference completion: check every obligation from scratch, add the
-    lex-least failing product, rebuild, repeat. complete() must return the
-    same set, added order and witnesses."""
-    if len(terms) == 0:
-        raise EmptyInputError("completeness is defined for nonempty sets")
-    box = terms.bounding_box()
-    current = terms
-    added: list[Term] = []
-    while True:
-        report = is_complete(current)
-        if report.complete:
-            return current, CompletionReport(
-                complete=True,
-                witnesses=report.witnesses,
-                added=tuple(added),
-            )
-        candidate = min(w.term * w.power for w in report.failing())
-        if any(e > b for e, b in zip(candidate.exponents, box)):
-            raise CompletionBoundError(
-                f"completion candidate {candidate} escapes the bounding box {box}"
-            )
-        if candidate in current:
-            raise InternalInvariantError(
-                f"{candidate} is already present yet reported without a divisor"
-            )
-        added.append(candidate)
-        current = current.with_terms([candidate])
-
-
-def run_rule_rechecks(nvars, checked, columns, c):
-    """The obligations the run rule re-checks when c joins a live completion
-    state with these records and columns, in three sets: those whose
-    product agrees with c on x_i..x_n, those whose power c changes (by
-    nmp_table before and after), and c's own. Adding c can change no other
-    record; complete() re-checks a subset of their union (the path rule)."""
-    before = nmp_table(TermSet(nvars, columns))
-    after = nmp_table(TermSet(nvars, [*columns, c]))
-    agreeing = {
-        (t, i) for (t, i), (w, _) in checked.items() if w[i - 1 :] == c.exponents[i - 1 :]
-    }
-    changed = {
-        (t, i) for t, nmp in before.items() for i, k in after[t].items() if nmp.get(i) != k
-    }
-    return agreeing, changed, {(c, i) for i in after[c]}
-
-
-def descent_path(columns, w):
-    """The descent for the product w over the columns, by definition: going
-    down from x_n, the largest x_l-exponent not above w_l among the columns
-    agreeing with the picks above. Returns the picks from x_n down and the
-    row where no column qualifies, or 0 when the descent reaches x_1."""
-    agreeing = list(columns)
-    picks = []
-    for row in range(len(w), 0, -1):
-        fitting = [u.exponents[row - 1] for u in agreeing if u.exponents[row - 1] <= w[row - 1]]
-        if not fitting:
-            return picks, row
-        picks.append(max(fitting))
-        agreeing = [u for u in agreeing if u.exponents[row - 1] == picks[-1]]
-    return picks, 0
-
-
-def escalier_scan_by_fractions(points: PointSet):
-    """Reference escalier scan over Fraction: the lex escalier of the
-    vanishing ideal of the points and the map from a term to its interpolant
-    (Buchberger-Moeller). The integer scan of barjanet.points must give the
-    same escalier and equal interpolants.
-
-    Terms are visited in increasing lex along the divisor-closed frontier; a
-    term is kept exactly when its evaluation vector is independent of those
-    already kept, and the complement of the kept set is the leading-term
-    ideal. Stops after one term per point. A queued term's vector is its
-    parent's times a coordinate column. Each echelon row keeps its pivot
-    column, its nonzero entries scaled to 1 there, its pivot value before
-    scaling and the reduction factors it met, so an interpolant costs one
-    reduction and one back-substitution, both O(m^2).
-    """
-    n = points.nvars
-    m = len(points)
-    columns = [[p[i] for p in points] for i in range(n)]
-    kept: list[Term] = []
-    kept_set: set[Term] = set()
-    echelon = []  # (pivot, row scaled to 1 at pivot, pivot value, factors met)
-
-    def reduce(vec):
-        factors = []
-        for pivot, row, _, _ in echelon:
-            factor = vec[pivot]
-            if factor:
-                for c, v in row:
-                    vec[c] -= factor * v
-            factors.append(factor)
-        return factors
-
-    def interpolant(t):
-        vec = [eval_term(t, p) for p in points]
-        factors = reduce(vec)
-        if any(vec):
-            raise InternalInvariantError(f"{t} is independent of a full escalier")
-        coeffs = [Fraction(0)] * m
-        for k, (_, _, scale, met) in reversed(list(enumerate(echelon))):
-            coeffs[k] = c = factors[k] / scale
-            if c:
-                for j, f in enumerate(met):
-                    factors[j] -= c * f
-        return Polynomial(n, dict(zip(kept, coeffs)))
-
-    one = Term.one(n)
-    heap = [(one._rev, one)]
-    queued = {one: [Fraction(1)] * m}  # term -> its evaluation vector
-    while heap and len(kept) < m:
-        _, t = heapq.heappop(heap)
-        vec = list(queued[t])
-        factors = reduce(vec)
-        pivot = next((c for c in range(m) if vec[c]), None)
-        if pivot is None:
-            continue
-        scale = vec[pivot]
-        row = [(c, v / scale) for c, v in enumerate(vec) if v]
-        echelon.append((pivot, row, scale, factors))
-        kept.append(t)
-        kept_set.add(t)
-        for i in range(1, n + 1):
-            u = t * Term.variable(n, i)
-            if u in queued:
-                continue
-            divisors_kept = all(
-                u / Term.variable(n, j) in kept_set
-                for j in range(1, n + 1)
-                if u.deg(j)
-            )
-            if divisors_kept:
-                heapq.heappush(heap, (u._rev, u))
-                queued[u] = [a * b for a, b in zip(queued[t], columns[i - 1])]
-    if len(kept) != m:
-        raise InternalInvariantError(
-            "distinct points must admit one standard monomial per point"
-        )
-    return TermSet(n, kept), interpolant
-
-
-def janet_like_basis_by_fractions(points: PointSet):
-    """The escalier and the basis of janet_like_basis, over the reference
-    scan."""
-    escalier, interpolant = escalier_scan_by_fractions(points)
-    completed, _ = complete(monomial_generators(escalier))
-    basis = [Polynomial.from_term(t) - interpolant(t) for t in completed.terms]
-    return escalier, basis
 
 
 def benchmark_shaped_sets(seed):

@@ -25,11 +25,11 @@ from barjanet.terms import MAX_VARS, format_term
 from helpers import (
     barcode_from_json,
     corner_from_json,
-    janet_like_basis_by_fractions,
     polynomial_from_json,
     random_term,
     random_term_set,
 )
+from oracles import janet_like_basis_by_fractions
 
 SIX_TERMS_FILE = "vars: 3\nx1^5\nx1^2*x2\nx1*x2^4\nx1^2*x3^2\nx1*x2^2*x3^2\nx3^5\n"
 INCOMPLETE_FILE = "vars: 3\nx2\nx1*x3\n"
@@ -462,15 +462,21 @@ class TestErrorsAndPlumbing:
         assert proc.stderr == b"error: standard input is closed\n"
 
 
-def run_module(argv, **kwargs):
-    """python -m barjanet argv in a child process, on this checkout's src."""
+def src_env():
+    """This process's environment with this checkout's src first on
+    PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_module(argv, **kwargs):
+    """python -m barjanet argv in a child process, on this checkout's src."""
     return subprocess.run(
         [sys.executable, "-m", "barjanet", *argv],
         capture_output=True,
-        env=env,
+        env=src_env(),
         timeout=60,
         **kwargs,
     )
@@ -484,6 +490,17 @@ def bytes_stdin(content: bytes):
 README = Path(__file__).resolve().parent.parent / "README.md"
 # printf's format: any text but quotes, % and backslashes, save the \n escape
 README_COMMAND = re.compile(r"\$ printf '((?:[^'%\\]|\\n)*)' \| barjanet (.+)")
+README_TOUR = re.compile(r"## Library tour\n\n```python\n(.*?)```", re.S)
+# the tour prints the bar code of its six terms, then the basis of its points
+TOUR_OUTPUT = """\
+x1^5 x1^2*x2 x1*x2^4 x1^2*x3^2 x1*x2^2*x3^2 x3^5
+----*-------*-------*---------*------------*---- *
+---- ------- -------*--------- ------------*---- *
+-------------------- ---------------------- ---- *
+x1^2 - x1
+x1*x2
+x2^2 - x2
+"""
 
 
 BOM = "\ufeff".encode()  # the UTF-8 byte-order mark, EF BB BF
@@ -583,6 +600,18 @@ class TestReadmeExamples:
         captured = capsys.readouterr()
         assert captured.out == expected
         assert code == (3 if expected.startswith("incomplete") else 0)
+
+    def test_library_tour(self):
+        tour = README_TOUR.search(README.read_text(encoding="utf-8")).group(1)
+        proc = subprocess.run(
+            [sys.executable, "-c", tour],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == TOUR_OUTPUT
 
 
 class TestExitCodeContract:
