@@ -107,15 +107,11 @@ def _read_input(path: str) -> str:
 
 
 def _witness_lines(report: CompletionReport, verbose: bool) -> Iterator[str]:
-    """One line per failing witness, or per witness when verbose. A term's
-    witnesses are consecutive, so its text is formatted once per run."""
-    term = text = None
+    """One line per failing witness, or per witness when verbose."""
     for t, p, s in report.witnesses:
         if s is None or verbose:
-            if t is not term:
-                term, text = t, format_term(t)
             product = format_exponents(map(add, t.exponents, p.exponents))
-            line = f"{text} * {format_term(p)} = {product}"
+            line = f"{format_term(t)} * {format_term(p)} = {product}"
             yield f"missing divisor: {line}" if s is None else f"ok: {line} <- {format_term(s)}"
 
 

@@ -15,6 +15,11 @@ only source of TermSyntaxError and the oracle. Without a header, n is first read
 off the largest "x<digits>" index of the distinct pieces, a bounded batch at a
 time (_widest). Term._valid skips Term's checks: only _read_line, parse_term and
 janet._LiveCompletion call it, each saying why.
+
+A term caches its text in _text, which format_term fills on first use, so no
+term is formatted twice. Only _read_line sets it at parse time, to a canonical
+line: each piece spelled as format_power spells it, every power at least 1 and
+the indices strictly increasing. Such a line is what format_term would return.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ MAX_VARS = 1024
 class Term:
     """A monomial x1^g1 * ... * xn^gn, immutable, ordered by lex."""
 
-    __slots__ = ("exponents", "_rev", "_hash")
+    __slots__ = ("exponents", "_rev", "_hash", "_text")
 
     def __init__(self, exponents: Iterable[int]):
         exps = tuple(exponents)
@@ -48,13 +53,13 @@ class Term:
                 raise ValueError(f"exponents must be nonnegative, got {e}")
             if e > MAX_EXPONENT:
                 raise ValueError(f"exponent {e} exceeds the cap {MAX_EXPONENT}")
-        self.exponents, self._rev, self._hash = exps, exps[::-1], hash(exps)
+        self.exponents, self._rev, self._hash, self._text = exps, exps[::-1], hash(exps), None
 
     @classmethod
-    def _valid(cls, exps: tuple[int, ...]) -> Term:
+    def _valid(cls, exps: tuple[int, ...], text: str | None = None) -> Term:
         """Term(exps) unchecked, for a nonempty tuple of non-bool ints in 0..MAX_EXPONENT."""
         t = object.__new__(cls)
-        t.exponents, t._rev, t._hash = exps, exps[::-1], hash(exps)
+        t.exponents, t._rev, t._hash, t._text = exps, exps[::-1], hash(exps), text
         return t
 
     @classmethod
@@ -225,7 +230,9 @@ class TermSet:
 
 def format_term(t: Term) -> str:
     """Canonical text form: '1', or factors like x1^2*x3 in variable order."""
-    return format_exponents(t.exponents)
+    if t._text is None:
+        t._text = format_exponents(t.exponents)
+    return t._text
 
 
 def format_exponents(exponents: Iterable[int]) -> str:
@@ -350,22 +357,27 @@ def read_term_line(text: str, nvars: int, line: int | None = None) -> Term:
 
 
 def _read_line(text: str, nvars: int, line: int | None, pieces: dict) -> Term:
-    """read_term_line; pieces maps a piece read before to its (index - 1, power)."""
+    """read_term_line; pieces maps a piece read before to its (index - 1, power, rank)."""
     exps = [0] * nvars
+    last = -1  # the last piece's rank while the line is canonical, nvars after
     for piece in text.split("*"):
         if piece in pieces:
-            i, power = pieces[piece]
+            i, power, rank = pieces[piece]
         else:
             m = _PIECE.fullmatch(piece)
             i = int(m[1]) - 1 if m else -1
             if not 0 <= i < nvars:
                 return parse_term(text, nvars, line)
             power = int(m[2] or 1)
+            rank = i if power and piece == format_power(i + 1, power) else -1  # i if canonical
             if len(pieces) < _MAX_PIECES:
-                pieces[piece] = (i, power)
+                pieces[piece] = (i, power, rank)
         exps[i] += power
+        last = rank if rank > last else nvars
+    if max(exps) > MAX_EXPONENT:
+        return parse_term(text, nvars, line)
     # valid: every piece held digits and an index in 1..nvars, and the sums are capped
-    return Term._valid(tuple(exps)) if max(exps) <= MAX_EXPONENT else parse_term(text, nvars, line)
+    return Term._valid(tuple(exps), text if last < nvars else None)
 
 
 def _bounded_nat(digits: str, cap: int) -> int:
@@ -398,7 +410,9 @@ def parse_term_set(text: str) -> TermSet:
     index used; exponent-list lines fix it exactly and must agree. Either way
     it is at most MAX_VARS.
     """
-    lines = ((k, raw.split("#", 1)[0].strip()) for k, raw in enumerate(text.splitlines(), 1))
+    raws = text.splitlines()  # comments are cut only from a file that holds a "#"
+    raws = (raw.split("#", 1)[0] for raw in raws) if "#" in text else raws
+    lines = ((k, raw.strip()) for k, raw in enumerate(raws, 1))
     content = [(line_no, body) for line_no, body in lines if body]
     nvars = parse_vars_header(content[0][1], content[0][0]) if content else None
     if nvars is not None:
@@ -423,7 +437,7 @@ def parse_term_set(text: str) -> TermSet:
         nvars = lengths.pop() if lengths else max(max_index, 1)
         if max_index > nvars:
             raise TermSyntaxError(f"variable index {max_index} exceeds exponent-list length {nvars}")
-    pieces: dict[str, tuple[int, int]] = {}
+    pieces: dict[str, tuple[int, int, int]] = {}
     terms = [_read_line(body, nvars, line_no, pieces) for line_no, body in content]
     return TermSet(nvars, terms)
 

@@ -18,6 +18,7 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
+from barjanet.cli import main
 from barjanet.terms import (
     _exponent_text,
     _read_line,
@@ -412,7 +413,10 @@ class TestPieceDict:
             _read_line(line, 3, None, pieces)
         read = {"x2^3", " x2^3", "x2^3\t", "x2 ^ 3", "x 2^3", "x1", "x1 ", " x2^3 "}
         assert set(pieces) == read
-        assert {pieces[p] for p in read - {"x1", "x1 "}} == {(1, 3)}
+        assert {pieces[p][:2] for p in read - {"x1", "x1 "}} == {(1, 3)}
+        # the third entry is the index - 1 of a piece spelled as format_power spells it, else -1
+        assert {p for p in read if pieces[p][2] != -1} == {"x2^3", "x1"}
+        assert pieces["x2^3"][2] == 1 and pieces["x1"][2] == 0
         # a piece that parse_term reads or rejects is never kept
         for line in ["1", "[0,1,0]", " x4", "x^2", "x1^" + "9" * 19, "x\ufeff1"]:
             read_outcome(lambda *args: _read_line(*args, pieces), line, 3)
@@ -601,6 +605,124 @@ class TestHeaderlessRead:
         with pytest.raises(TermSyntaxError) as info:
             parse_term_set(f"x1^{MAX_EXPONENT + 1}\n1/0\nx{MAX_VARS + 1}\n")
         assert str(info.value) == f"more than {MAX_VARS} variables, the limit"
+
+
+def is_canonical(body, u):
+    """True when the product line body is the text format_term gives u; "1"
+    is read by parse_term, which keeps no text."""
+    return body != "1" and body == format_exponents(u.exponents)
+
+
+def check_text(u, body):
+    """u, just read from the line body, holds body as its text exactly when
+    body is canonical; format_term's text is format_exponents' either way."""
+    assert u._text == (body if is_canonical(body, u) else None)
+    assert format_term(u) == format_exponents(u.exponents)
+    assert u._text == format_exponents(u.exponents)  # kept after the first use
+
+
+EXPONENTS = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+LINE = st.one_of(
+    EXPONENTS.map(format_exponents),
+    EXPONENTS.map(lambda e: "[" + ",".join(map(str, e)) + "]"),
+    st.lists(st.sampled_from(["x1", "x2", "x3", "x1^2", "x3^3"]), min_size=1, max_size=4).map("*".join),
+    PRODUCT,
+    ANY_LINE,
+)
+# whitespace, leading zeros, ^1, ^0, repeated and unordered indices, exponent
+# lists, "1", a comment, and canonical lines
+CANONICAL_TEXT_FILES = [
+    ["x1^2*x3", "x3 * x1^1", "x01^2", "x1^0*x2", "x2*x1*x2", "x2^1", "x1*x1",
+     "[0,0,1]", "1", "x1*x2 # a comment", " x2^5", "x2^5*x3^0", "x1*x3^12"],
+    ["x1", "x1 ", "x 1", "x1^01", "x1^1", "x1^0", "x\u0661", "x1*x2*x3", "x3*x2*x1"],
+    ["x2*x3", "x2*x3", "x3*x2", "x1^3*x2^2", "x1^3 *x2^2", "[3,2,0]", "x1^3*x2^2"],
+    [format_term(random_term(random.Random(k), 3, 4)) for k in range(40)],
+]
+
+
+class TestCanonicalText:
+    """A term read from a canonical product line keeps that line as its text,
+    and every other term is formatted on first use."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(LINE, st.integers(1, 4))
+    def test_line_reader(self, text, nvars):
+        try:
+            u = read_term_line(text, nvars)
+        except TermSyntaxError:
+            return
+        check_text(u, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(LINE, max_size=8), st.integers(1, 4), st.booleans())
+    def test_term_set_reader(self, lines, nvars, header):
+        self.check_file(lines, nvars if header else None)
+
+    @pytest.mark.parametrize("lines", CANONICAL_TEXT_FILES)
+    @pytest.mark.parametrize("nvars", [3, None])
+    def test_seeded_files(self, lines, nvars):
+        self.check_file(lines, nvars)
+
+    @staticmethod
+    def check_file(lines, nvars):
+        """Each term of the file against the first line it is read from,
+        the one TermSet keeps of equal terms."""
+        try:
+            ts = parse_term_set(headerless(lines) if nvars is None else term_file(lines, nvars))
+        except TermSyntaxError:
+            return
+        first = {}
+        for raw in lines:
+            body = raw.split("#", 1)[0].strip()
+            if body:
+                first.setdefault(parse_term(body, ts.nvars), body)
+        for u in ts:
+            check_text(u, first[u])
+
+    def test_which_terms_keep_their_line(self):
+        ts = parse_term_set(term_file(CANONICAL_TEXT_FILES[0], 3))
+        assert {u.exponents: u._text for u in ts} == {
+            (2, 0, 1): "x1^2*x3",
+            (1, 0, 1): None,
+            (2, 0, 0): None,
+            (0, 1, 0): None,
+            (1, 2, 0): None,
+            (0, 0, 1): None,
+            (0, 0, 0): None,
+            (1, 1, 0): "x1*x2",
+            (0, 5, 0): "x2^5",
+            (1, 0, 12): "x1*x3^12",
+        }
+
+    def test_a_term_is_formatted_once(self, monkeypatch):
+        calls = []
+
+        def counting(exponents):
+            calls.append(tuple(exponents))
+            return format_exponents(calls[-1])
+
+        monkeypatch.setattr("barjanet.terms.format_exponents", counting)
+        u = t(2, 0, 1)
+        assert [format_term(u), str(u), format_term(u)] == ["x1^2*x3"] * 3
+        assert calls == [(2, 0, 1)]
+
+    @pytest.mark.parametrize("command", ["nmp", "corners", "render"])
+    def test_output_formats_no_input_term(self, tmp_path, capsys, monkeypatch, command):
+        rng = random.Random(22)
+        terms = {tuple(rng.randint(0, 6) for _ in range(4)) for _ in range(300)} - {(0,) * 4}
+        path = tmp_path / "canonical.terms"
+        path.write_text("vars: 4\n" + "".join(format_exponents(e) + "\n" for e in terms))
+        calls = []
+
+        def counting(exponents):
+            calls.append(tuple(exponents))
+            return format_exponents(calls[-1])
+
+        monkeypatch.setattr("barjanet.terms.format_exponents", counting)
+        for options in [[], ["--format", "json"]]:
+            assert main([command, str(path), *options]) == 0
+            assert capsys.readouterr().out
+        assert calls == []
 
 
 def valid_vectors(seed):
