@@ -35,7 +35,7 @@ from .errors import (
     InputError,
     MembershipError,
 )
-from .terms import Term, TermSet, format_term
+from .terms import Term, TermSet, format_power, format_term
 
 
 @dataclass(frozen=True)
@@ -222,6 +222,44 @@ def next_powers(bc: BarCode) -> list[dict[int, int]]:
             kept.pop()
         kept.append((d, right[d - 1] - left[d - 1]))
         out.append(dict(reversed(kept)))
+    out.reverse()
+    return out
+
+
+def power_texts(bc: BarCode) -> list[str]:
+    """Entry c: next_powers' entry c as text, each power as format_power
+    spells it, joined by ", " ("" for none). By next_powers' rule, each line
+    formats one power and shares the rest with its right neighbour's."""
+    exps = [t.exponents for t in bc.labels]
+    out = [""]
+    kept: list[tuple[int, str]] = []  # column c + 1's (i, text from x_i^(k_i) on), highest i first
+    for d, left, right in zip(reversed(bc._depths), reversed(exps[:-1]), reversed(exps)):
+        while kept and kept[-1][0] <= d:
+            kept.pop()
+        power = format_power(d, right[d - 1] - left[d - 1])
+        out.append(f"{power}, {kept[-1][1]}" if kept else power)
+        kept.append((d, out[-1]))
+    out.reverse()
+    return out
+
+
+def corner_texts(bc: BarCode) -> list[str]:
+    """Entry c: CornerVector.format() of the 0-based column c's corner vector.
+    By infinite_corners' rule, each line formats one cap and shares the text
+    above it with its right neighbour's; runs of infinities slice one string."""
+    n, exps = bc.nvars, [t.exponents for t in bc.labels]
+    pieces = [f"x{i}^inf*" for i in range(1, n + 1)]
+    full, at = "".join(pieces), [0, 0, *accumulate(map(len, pieces))]  # x_i starts at at[i]
+    out = [full[:-1]]
+    kept: list[tuple[int, str]] = []  # column c + 1's (i, its text from x_i on), highest i first
+    for d, right in zip(reversed(bc._depths), reversed(exps)):
+        while kept and kept[-1][0] <= d:
+            kept.pop()
+        above, rest = kept[-1] if kept else (n + 1, "")
+        run = full[at[d + 1] : at[above] - 1]  # x_(d+1) up to column c + 1's cap, all infinite
+        text = "*".join(filter(None, (f"x{d}^{right[d - 1] - 1}", run, rest)))
+        out.append(full[: at[d]] + text)
+        kept.append((d, text))
     out.reverse()
     return out
 

@@ -18,6 +18,8 @@ from typing import Iterator
 
 from .barcode import (
     BarCode,
+    corner_texts,
+    power_texts,
     render_ascii,
     star_positions,
     star_set,
@@ -208,25 +210,21 @@ def _run(args) -> tuple[str, int]:
             return json.dumps(doc, indent=2), EXIT_OK
         return "\n".join(format_term(t) for t in result), EXIT_OK
 
-    if args.command == "nmp":
-        table = nmp_table(terms, bc)
-        powers = (
-            (format_term(t), [format_power(i, k) for i, k in nmp.items()])
-            for t, nmp in table.items()
-        )
-        if args.format == "json":
-            doc = {"vars": terms.nvars, "nmp": dict(powers)}
-            return json.dumps(doc, indent=2), EXIT_OK
-        lines = [f"{t}: {', '.join(p) if p else '-'}" for t, p in powers]
+    if args.command in ("nmp", "corners") and args.format == "text":
+        lines = (power_texts if args.command == "nmp" else corner_texts)(bc)
+        for c, t in enumerate(bc.labels):  # in place: texts and lines are never all held
+            lines[c] = f"{format_term(t)}: {lines[c] or '-'}"  # only nmp's can be empty
         return "\n".join(lines), EXIT_OK
 
+    if args.command == "nmp":
+        table = nmp_table(terms, bc).items()
+        powers = {format_term(t): [format_power(i, k) for i, k in p.items()] for t, p in table}
+        return json.dumps({"vars": terms.nvars, "nmp": powers}, indent=2), EXIT_OK
+
     if args.command == "corners":
-        corners = infinite_corners(terms, nmp_table(terms, bc))
-        if args.format == "json":
-            entries = {format_term(t): corner_to_json(vec) for t, vec in corners.items()}
-            return json.dumps({"vars": terms.nvars, "corners": entries}, indent=2), EXIT_OK
-        lines = [f"{format_term(t)}: {vec.format()}" for t, vec in corners.items()]
-        return "\n".join(lines), EXIT_OK
+        corners = infinite_corners(terms, nmp_table(terms, bc)).items()
+        entries = {format_term(t): corner_to_json(vec) for t, vec in corners}
+        return json.dumps({"vars": terms.nvars, "corners": entries}, indent=2), EXIT_OK
 
     raise InternalInvariantError(f"unhandled command {args.command}")
 

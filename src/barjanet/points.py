@@ -400,7 +400,7 @@ def monomial_generators(ideal_complement: TermSet) -> TermSet:
 
 
 def _unit_quotients(e: tuple[int, ...]):
-    """The exponent vectors of t/x_v for each x_v dividing t = x^e."""
+    """The exponent vectors of t/x_v for each x_v dividing t = x^e, by increasing v."""
     return (e[:v] + (x - 1,) + e[v + 1 :] for v, x in enumerate(e) if x)
 
 
@@ -425,12 +425,16 @@ def janet_like_basis(points: PointSet) -> tuple[Polynomial, ...]:
     The completed minimal generators of the escalier's complement are the
     leading terms; each basis element is its leading term minus the
     interpolant of that term over the escalier, so it vanishes on all points
-    and its tail is supported on the escalier.
+    and its tail is supported on the escalier. Each leading term t must be a
+    star of the escalier N: t outside N, t/x_v in N for its least variable x_v.
     """
     escalier, interpolant = escalier_scan(points)
     completed, _ = complete(monomial_generators(escalier))
+    inside = {s.exponents for s in escalier}
     basis = []
     for t in completed.terms:
+        if t.exponents in inside or next(_unit_quotients(t.exponents), None) not in inside:
+            raise InternalInvariantError(f"{t} is not a star of the escalier")
         tail = interpolant(t).coefficients.items()
         g = Polynomial(points.nvars, [(t, 1), *((s, -c) for s, c in tail)])
         if g.leading_term != t:

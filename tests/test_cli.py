@@ -21,7 +21,7 @@ from barjanet.points import (
     janet_like_basis,
     parse_points,
 )
-from barjanet.terms import MAX_VARS, format_term
+from barjanet.terms import MAX_VARS, format_power, format_term
 from helpers import (
     barcode_from_json,
     corner_from_json,
@@ -240,6 +240,35 @@ class TestCorners:
         doc = json.loads(capsys.readouterr().out)
         vec = corner_from_json(doc["corners"]["x1*x2"])
         assert vec.format() == "x1^inf*x2^2"
+
+    def test_text_lines_format_one_piece_per_column(self, tmp_path, capsys, monkeypatch):
+        # each line reads its text off its right neighbour's: no table, no
+        # corner vector, and at most one power formatted per column
+        calls = []
+
+        def refused(*args):
+            raise AssertionError("the text output built a table or a corner vector")
+
+        def counting(i, e):
+            calls.append((i, e))
+            return format_power(i, e)
+
+        for name in ("cli.nmp_table", "cli.infinite_corners", "corners.CornerVector.format"):
+            monkeypatch.setattr(f"barjanet.{name}", refused)
+        monkeypatch.setattr("barjanet.barcode.format_power", counting, raising=False)
+        monkeypatch.setattr("barjanet.cli.format_power", counting)
+        path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
+        assert main(["nmp", path]) == 0
+        assert 0 < len(calls) <= 6
+        assert main(["corners", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-6:] == [
+            "x1^5: x1^inf*x2^0*x3^1",
+            "x1^2*x2: x1^inf*x2^3*x3^1",
+            "x1*x2^4: x1^inf*x2^inf*x3^1",
+            "x1^2*x3^2: x1^inf*x2^1*x3^4",
+            "x1*x2^2*x3^2: x1^inf*x2^inf*x3^4",
+            "x3^5: x1^inf*x2^inf*x3^inf",
+        ]
 
 
 class TestPointsCommands:

@@ -4,6 +4,7 @@ import pytest
 
 from barjanet import (
     INF,
+    BarCode,
     CornerVector,
     Term,
     TermSet,
@@ -13,6 +14,8 @@ from barjanet import (
     parse_term,
     parse_term_set,
 )
+from barjanet.barcode import corner_texts, power_texts
+from barjanet.terms import format_power
 from helpers import (
     benchmark_shaped_sets,
     grown_order_ideal,
@@ -28,6 +31,15 @@ from oracles import (
     multiplicative_variables,
     nmp_table_bruteforce,
 )
+
+
+def assert_line_texts(ts, table, corners):
+    """power_texts and corner_texts of ts equal, line by line, the format of
+    the table's powers and of the corner vectors."""
+    bc = BarCode.build(ts)
+    powers = [", ".join(format_power(i, k) for i, k in p.items()) for p in table.values()]
+    assert power_texts(bc) == powers
+    assert corner_texts(bc) == [vec.format() for vec in corners.values()]
 
 
 # k[x, y] with x below y: x = x1, y = x2
@@ -166,3 +178,32 @@ class TestCornerOracle:
         for ts, oracle in cases:
             for corners in (infinite_corners(ts), infinite_corners(ts, oracle)):
                 assert list(corners) == list(ts.terms) == sorted(ts.terms)
+
+    def test_line_texts_equal_both_routes(self, cases):
+        for ts, oracle in cases:
+            assert_line_texts(ts, nmp_table(ts), infinite_corners(ts))
+            assert_line_texts(ts, oracle, corners_by_definition(ts, oracle))
+
+
+class TestLineTexts:
+    """power_texts and corner_texts read each line off the right neighbour's
+    text; the library routes and the oracles format every line whole."""
+
+    def test_single_terms_and_one_variable(self):
+        rng = random.Random(257)
+        sets = [TermSet(n, [random_term(rng, n, 4)]) for n in (1, 2, 3, 6, 64)]
+        sets += [TermSet(1, [Term((e,)) for e in rng.sample(range(60), k)]) for k in (1, 2, 3, 30)]
+        sets += [TermSet(3, [Term((0, 0, 0))]), TermSet(2, [Term((0, 0)), Term((0, 1))])]
+        for ts in sets:
+            oracle = nmp_table_bruteforce(ts)
+            assert_line_texts(ts, nmp_table(ts), infinite_corners(ts))
+            assert_line_texts(ts, oracle, corners_by_definition(ts, oracle))
+
+    def test_three_thousand_terms_whose_factors_never_repeat(self):
+        # the bar code of the CI input distinct-3000.txt: every depth is 6
+        rng = random.Random(5)
+        columns = [rng.sample(range(2, 3002), 3000) for _ in range(6)]
+        ts = TermSet(6, [Term(exps) for exps in zip(*columns)])
+        table = nmp_table(ts)
+        assert_line_texts(ts, table, infinite_corners(ts))
+        assert_line_texts(ts, table, corners_by_definition(ts, table))

@@ -8,6 +8,7 @@ from barjanet import (
     BarCode,
     DimensionError,
     InputError,
+    InternalInvariantError,
     PointSet,
     Polynomial,
     RationalMatrix,
@@ -15,6 +16,7 @@ from barjanet import (
     Term,
     TermSet,
     TermSyntaxError,
+    complete,
     evaluation_matrix,
     format_polynomial,
     groebner_escalier,
@@ -27,6 +29,7 @@ from barjanet import (
     star_set,
 )
 import barjanet.points as points_module
+from barjanet.cli import main
 from barjanet.points import escalier_scan
 from barjanet.terms import MAX_VARS
 from helpers import (
@@ -336,6 +339,41 @@ class TestJanetLikeBasis:
                 assert set(gpoly.coefficients) <= set(N.terms) | {gpoly.leading_term}
                 for p in X:
                     assert gpoly.evaluate(p) == 0
+
+    def test_non_star_leading_term_exits_internal(self, tmp_path, capsys, monkeypatch):
+        # N = {1, x1, x2}; x1^2*x2 lies outside N, and so does x1*x2: no star
+        completion = points_module.complete
+
+        def with_non_star(generators):
+            completed, report = completion(generators)
+            return TermSet(2, [*completed, t(2, 1)]), report
+
+        monkeypatch.setattr(points_module, "complete", with_non_star)
+        X = PointSet([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+        with pytest.raises(InternalInvariantError, match=r"^x1\^2\*x2 is not a star"):
+            janet_like_basis(X)
+        path = tmp_path / "plane.points"
+        path.write_text("vars: 2\n0, 0\n1, 0\n0, 1\n")
+        assert main(["basis", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: x1^2*x2 is not a star of the escalier\n"
+
+    def test_star_rule_agrees_with_the_star_set(self):
+        # the rule janet_like_basis checks: u outside N, u/x_v in N for x_v
+        # the least variable of u; on every completed term and a box around N
+        rng = random.Random(4404)
+        for _ in range(400):
+            X = random_point_set(rng, max_points=8, max_vars=4, coord_bound=4)
+            N = groebner_escalier(X)
+            stars = set(star_set(BarCode.build(N)))
+            completed, _ = complete(monomial_generators(N))
+            assert set(completed) <= stars
+            sides = [range(b + 2) for b in N.bounding_box()]
+            for u in [*completed, *map(Term, itertools.product(*sides))]:
+                v = u.min_variable()
+                rule = u not in N and v is not None and u / Term.variable(u.nvars, v) in N
+                assert rule == (u in stars)
 
 
 def interpolation_point_sets(rng):
