@@ -13,13 +13,15 @@ only writer of the file's piece memo); every other line, and any index out of
 range, number over 18 digits or exponent over the cap, goes to parse_term, the
 only source of TermSyntaxError and the oracle. Without a header, n is first read
 off the largest "x<digits>" index of the distinct pieces, a bounded batch at a
-time (_widest). Term._valid skips Term's checks: only _read_line, parse_term and
-janet._LiveCompletion call it, each saying why.
+time (_widest). Term._valid skips Term's checks: only parse_term and
+janet._LiveCompletion call it, each saying why; _read_line is the one other
+place that builds a term unchecked, filling its slots in place.
 
 A term caches its text in _text, which format_term fills on first use, so no
 term is formatted twice. Only _read_line sets it at parse time, to a canonical
-line: each piece spelled as format_power spells it, every power at least 1 and
-the indices strictly increasing. Such a line is what format_term would return.
+line: each piece spelled as format_power spells it, every power in
+1..MAX_EXPONENT and the indices strictly increasing. Such a line is what
+format_term would return, and its exponents are capped without a check.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ class Term:
 
     @classmethod
     def _valid(cls, exps: tuple[int, ...], text: str | None = None) -> Term:
-        """Term(exps) unchecked, for a nonempty tuple of non-bool ints in 0..MAX_EXPONENT."""
+        """Term(exps) unchecked, for a nonempty tuple of non-bool ints in 0..MAX_EXPONENT.
+        _read_line builds its terms the same way, inline: each index it read
+        lies in 1..n, and a line's sums are capped by the line being canonical
+        or by a scan."""
         t = object.__new__(cls)
         t.exponents, t._rev, t._hash, t._text = exps, exps[::-1], hash(exps), text
         return t
@@ -349,6 +354,7 @@ _VAR_INDEX = re.compile(r"x\s*(\d+)")
 # parse_term's product grammar: on str, \d is isdecimal and \s is isspace
 _PIECE = re.compile(r"\s*x\s*(\d{1,18})(?:\s*\^\s*(\d{1,18}))?\s*")  # one factor
 _MAX_PIECES = 4096  # four powers of each of MAX_VARS variables, in about 0.7 MB
+_new_object = object.__new__  # _read_line's Term(...) without its checks
 
 
 def read_term_line(text: str, nvars: int, line: int | None = None) -> Term:
@@ -361,23 +367,27 @@ def _read_line(text: str, nvars: int, line: int | None, pieces: dict) -> Term:
     exps = [0] * nvars
     last = -1  # the last piece's rank while the line is canonical, nvars after
     for piece in text.split("*"):
-        if piece in pieces:
-            i, power, rank = pieces[piece]
-        else:
+        known = pieces.get(piece)
+        if known is None:
             m = _PIECE.fullmatch(piece)
             i = int(m[1]) - 1 if m else -1
             if not 0 <= i < nvars:
                 return parse_term(text, nvars, line)
             power = int(m[2] or 1)
-            rank = i if power and piece == format_power(i + 1, power) else -1  # i if canonical
+            canonical = 0 < power <= MAX_EXPONENT and piece == format_power(i + 1, power)
+            known = (i, power, i if canonical else -1)
             if len(pieces) < _MAX_PIECES:
-                pieces[piece] = (i, power, rank)
+                pieces[piece] = known
+        i, power, rank = known
         exps[i] += power
         last = rank if rank > last else nvars
-    if max(exps) > MAX_EXPONENT:
+    # a canonical line holds each index once, each power capped: no sum exceeds the cap
+    if last == nvars and max(exps) > MAX_EXPONENT:
         return parse_term(text, nvars, line)
-    # valid: every piece held digits and an index in 1..nvars, and the sums are capped
-    return Term._valid(tuple(exps), text if last < nvars else None)
+    t, exps = _new_object(Term), tuple(exps)  # as Term._valid builds it, without the call
+    t.exponents, t._rev, t._hash = exps, exps[::-1], hash(exps)
+    t._text = text if last < nvars else None
+    return t
 
 
 def _bounded_nat(digits: str, cap: int) -> int:
@@ -412,8 +422,7 @@ def parse_term_set(text: str) -> TermSet:
     """
     raws = text.splitlines()  # comments are cut only from a file that holds a "#"
     raws = (raw.split("#", 1)[0] for raw in raws) if "#" in text else raws
-    lines = ((k, raw.strip()) for k, raw in enumerate(raws, 1))
-    content = [(line_no, body) for line_no, body in lines if body]
+    content = [(k, body) for k, raw in enumerate(raws, 1) if (body := raw.strip())]
     nvars = parse_vars_header(content[0][1], content[0][0]) if content else None
     if nvars is not None:
         content = content[1:]

@@ -725,6 +725,56 @@ class TestCanonicalText:
         assert calls == []
 
 
+# powers over the cap, at it, and sums over it, spelled canonically or not;
+# the last file reads some of the pieces on earlier lines first
+CAP_FILES = [
+    [f"x1^{MAX_EXPONENT + 1}"],
+    [f"x2^{MAX_EXPONENT + 1}*x3"],
+    ["x1*x3^" + "9" * 18],
+    [f"x2^{MAX_EXPONENT}*x3^{MAX_EXPONENT}"],
+    [f"x1^{MAX_EXPONENT}*x1"],
+    [f"x3*x1^{MAX_EXPONENT}*x1"],
+    ["x1", f"x1^{MAX_EXPONENT}", f"x2^{MAX_EXPONENT}*x3^{MAX_EXPONENT}", f"x3*x1^{MAX_EXPONENT}*x1"],
+]
+
+
+class TestCapScan:
+    """A canonical line holds each index once and each power within the cap,
+    so only lines that are not canonical are scanned for a sum over it."""
+
+    @pytest.mark.parametrize("lines", CAP_FILES)
+    def test_cap_files_agree_with_parse_term(self, lines):
+        got = set_outcome(term_file(lines, 3))
+        assert got == oracle_set_outcome(lines, 3)
+        if isinstance(got, TermSet):
+            TestCanonicalText.check_file(lines, 3)  # x2^cap*x3^cap keeps its line
+
+    def test_canonical_lines_skip_the_constructor_and_the_scan(self, monkeypatch):
+        rng = random.Random(24)
+        terms = [random_term(rng, 5, 9) for _ in range(2000)]
+        terms = [u for u in terms if sum(map(bool, u.exponents)) >= 2][:500]
+        canonical = [format_term(u) for u in terms]
+        respelled = [" * ".join(line.split("*")) for line in canonical]
+        valid, maxes = [], []
+        original = Term._valid
+        monkeypatch.setattr(
+            Term, "_valid", classmethod(lambda cls, *args: valid.append(args) or original(*args))
+        )
+        monkeypatch.setattr("barjanet.terms.max", lambda *args: maxes.append(args) or max(*args),
+                            raising=False)
+        read = parse_term_set(term_file(canonical, 5))
+        assert (len(terms), valid, maxes) == (500, [], [])
+        respelled_read = parse_term_set(term_file(respelled, 5))
+        assert (len(valid), len(maxes)) == (0, 500)
+        assert read == respelled_read == TermSet(5, terms)
+        monkeypatch.undo()
+        assert [u._text for u in read] == [format_exponents(u.exponents) for u in read]
+        assert {u._text for u in respelled_read} == {None}
+        for u in [*read, *respelled_read]:
+            v = Term._valid(u.exponents, u._text)
+            assert (u.exponents, u._rev, u._hash, u._text) == (v.exponents, v._rev, v._hash, v._text)
+
+
 def valid_vectors(seed):
     """Valid exponent tuples in 1 to MAX_VARS variables, with 0 and
     MAX_EXPONENT common."""
