@@ -299,7 +299,7 @@ def descend_columns(exponents, lo: int, hi: int, row: int, bounds) -> int:
     the first column c of the bar the walk stopped on. exponents is
     BarCode.exponent_columns; the bars over a bar of row l+1 are the runs of
     equal x_l-exponent in its columns, which lex order sorts, so each step
-    is two bisections."""
+    is two bisections. janet.is_complete runs this loop inline."""
     for low in range(row - 2, -1, -1):
         exps = exponents[low]
         c = bisect_right(exps, bounds[low], lo, hi) - 1

@@ -4,12 +4,16 @@ Exit codes: 0 success, 1 parse or file error, 2 dimension or consistency error,
 3 incomplete set (check-complete only), 4 internal invariant violation.
 All output is deterministic; collections are emitted in lex order.
 The argparse parser is built once per process, on the first call to main.
+main pauses the cyclic collector for a command: the package builds no reference
+cycles (terms, tuples, and lists and dicts of them; JSON text comes from _dumps,
+as json.dumps(indent=2) makes a cycle per call), so it could only traverse.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from operator import add
@@ -132,6 +136,20 @@ def _report_json(report: CompletionReport) -> dict:
     }
 
 
+def _dumps(doc, indent: str = "\n") -> str:
+    """json.dumps(doc, indent=2), whose stdlib encoder is a set of closures
+    that form a reference cycle on every call; this one forms none."""
+    if type(doc) is int:
+        return str(doc)
+    inner = indent + "  "
+    if isinstance(doc, dict) and doc:
+        items = [f"{inner}{json.dumps(k)}: {_dumps(v, inner)}" for k, v in doc.items()]
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(doc, (list, tuple)) and doc:
+        return "[" + ",".join([inner + _dumps(v, inner) for v in doc]) + indent + "]"
+    return json.dumps(doc)
+
+
 def _run(args) -> tuple[str, int]:
     if args.command in _POINT_COMMANDS:
         points = parse_points(_read_input(args.input))
@@ -140,7 +158,7 @@ def _run(args) -> tuple[str, int]:
             if args.format == "json":
                 terms = [format_term(t) for t in escalier]
                 doc = {"vars": escalier.nvars, "points": len(points), "escalier": terms}
-                return json.dumps(doc, indent=2), EXIT_OK
+                return _dumps(doc), EXIT_OK
             return "\n".join(format_term(t) for t in escalier), EXIT_OK
         if len(points) > MAX_BASIS_POINTS:
             raise InputError(f"basis takes at most {MAX_BASIS_POINTS} points")
@@ -148,7 +166,7 @@ def _run(args) -> tuple[str, int]:
         try:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
             if args.format == "json":
                 doc = {"vars": points.nvars, "basis": [polynomial_to_json(g) for g in basis]}
-                return json.dumps(doc, indent=2), EXIT_OK
+                return _dumps(doc), EXIT_OK
             return "\n".join(format_polynomial(g) for g in basis), EXIT_OK
         except ValueError:
             limit = sys.get_int_max_str_digits()
@@ -161,7 +179,7 @@ def _run(args) -> tuple[str, int]:
         report = is_complete(terms)
         code = EXIT_OK if report.complete else EXIT_INCOMPLETE
         if args.format == "json":
-            return json.dumps(_report_json(report), indent=2), code
+            return _dumps(_report_json(report)), code
         lines = ["complete" if report.complete else "incomplete"]
         if not args.quiet:
             lines.extend(_witness_lines(report, args.verbose))
@@ -175,7 +193,7 @@ def _run(args) -> tuple[str, int]:
                 "terms": [format_term(t) for t in completed],
                 "added": [format_term(t) for t in report.added],
             }
-            return json.dumps(doc, indent=2), EXIT_OK
+            return _dumps(doc), EXIT_OK
         added = set(report.added)
         lines = []
         if args.verbose:
@@ -190,13 +208,13 @@ def _run(args) -> tuple[str, int]:
     if args.command == "render":
         stars = star_positions(bc)
         if args.format == "json":
-            return json.dumps(to_json_dict(bc, stars), indent=2), EXIT_OK
+            return _dumps(to_json_dict(bc, stars)), EXIT_OK
         return render_ascii(bc, stars), EXIT_OK
 
     if args.command == "stars":
         stars = star_positions(bc)
         if args.format == "json":
-            return json.dumps(stars_to_json(bc, stars), indent=2), EXIT_OK
+            return _dumps(stars_to_json(bc, stars)), EXIT_OK
         lines = [
             f"row {i}: after bars {', '.join(map(str, bars))}"
             for i, bars in enumerate(stars.rows, 1)
@@ -207,7 +225,7 @@ def _run(args) -> tuple[str, int]:
         result = star_set(bc)
         if args.format == "json":
             doc = {"vars": result.nvars, "terms": [format_term(t) for t in result]}
-            return json.dumps(doc, indent=2), EXIT_OK
+            return _dumps(doc), EXIT_OK
         return "\n".join(format_term(t) for t in result), EXIT_OK
 
     if args.command in ("nmp", "corners") and args.format == "text":
@@ -219,12 +237,12 @@ def _run(args) -> tuple[str, int]:
     if args.command == "nmp":
         table = nmp_table(terms, bc).items()
         powers = {format_term(t): [format_power(i, k) for i, k in p.items()] for t, p in table}
-        return json.dumps({"vars": terms.nvars, "nmp": powers}, indent=2), EXIT_OK
+        return _dumps({"vars": terms.nvars, "nmp": powers}), EXIT_OK
 
     if args.command == "corners":
         corners = infinite_corners(terms, nmp_table(terms, bc)).items()
         entries = {format_term(t): corner_to_json(vec) for t, vec in corners}
-        return json.dumps({"vars": terms.nvars, "corners": entries}, indent=2), EXIT_OK
+        return _dumps({"vars": terms.nvars, "corners": entries}), EXIT_OK
 
     raise InternalInvariantError(f"unhandled command {args.command}")
 
@@ -232,6 +250,8 @@ def _run(args) -> tuple[str, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         body, code = _run(args)
         if args.output:
@@ -248,6 +268,9 @@ def main(argv=None) -> int:
     except BarjanetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
     return code
 
 

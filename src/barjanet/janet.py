@@ -37,6 +37,8 @@ from .errors import (
 )
 from .terms import Term, TermSet
 
+_new_tuple = tuple.__new__  # _new_tuple(Witness, ...) skips its Python-level __new__
+
 
 class Witness(NamedTuple):
     """One completeness obligation: term * power, and who divides it."""
@@ -141,13 +143,20 @@ def is_complete(terms: TermSet) -> CompletionReport:
     bc = BarCode.build(terms)
     power = _powers(terms.nvars)
     labels, columns = bc.labels, bc.exponent_columns()
-    witnesses = []
+    witnesses, holds = [], True
     for t, bars in zip(labels, next_bars(bc)):
         exps = t.exponents
         for i, e, lo, hi in bars:  # divisors_for_nm_product's descent
-            c = descend_columns(columns, lo, hi, i, exps)
-            witnesses.append(Witness(t, power(i, e - exps[i - 1]), labels[c] if c >= 0 else None))
-    return CompletionReport(all(w.divisor is not None for w in witnesses), tuple(witnesses))
+            for low in range(i - 2, -1, -1):  # barcode.descend_columns, inline
+                col = columns[low]
+                if (c := bisect_right(col, exps[low], lo, hi) - 1) < lo:
+                    s, holds = None, False
+                    break
+                lo, hi = bisect_left(col, col[c], lo, c), c + 1
+            else:
+                s = labels[lo]
+            witnesses.append(_new_tuple(Witness, (t, power(i, e - exps[i - 1]), s)))
+    return CompletionReport(holds, tuple(witnesses))
 
 
 def complete(terms: TermSet) -> tuple[TermSet, CompletionReport]:
@@ -249,7 +258,7 @@ class _LiveCompletion:
         power, out = _powers(len(self.exponents)), []
         for t in self.columns:
             for i, k in sorted(self.nmp[t].items()):
-                out.append(Witness(t, power(i, k), self.checked[(t, i)][1]))
+                out.append(_new_tuple(Witness, (t, power(i, k), self.checked[(t, i)][1])))
         return tuple(out)
 
     def _insert(self, c: Term) -> list[tuple[Term, int]]:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib
 import io
 import json
@@ -25,6 +26,7 @@ from barjanet.terms import MAX_VARS, format_power, format_term
 from helpers import (
     barcode_from_json,
     corner_from_json,
+    grown_order_ideal,
     polynomial_from_json,
     random_term,
     random_term_set,
@@ -786,3 +788,130 @@ class TestParserReuse:
         capsys.readouterr()
         assert set(codes) == {0, 3}
         assert built == []
+
+
+@pytest.fixture
+def collector():
+    """The cyclic collector on for the test, and as it was found after it."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector from after argument parsing to its
+    return, and leaves it as it found it, however the call ends."""
+
+    def test_paused_while_the_command_runs(self, tmp_path, capsys, monkeypatch, collector):
+        seen = []
+
+        def record(args):
+            seen.append(gc.isenabled())
+            return "", 0
+
+        monkeypatch.setattr(cli, "_run", record)
+        assert main(["nmp", write(tmp_path, "u.terms", SIX_TERMS_FILE)]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_restored_after_every_exit_code(self, tmp_path, capsys, monkeypatch, collector):
+        calls = [
+            (0, ["nmp", write(tmp_path, "u.terms", SIX_TERMS_FILE)]),
+            (1, ["nmp", write(tmp_path, "bad.terms", "vars: 2\nx1^^\n")]),
+            (2, ["nmp", write(tmp_path, "empty.terms", "# nothing here\n")]),
+            (3, ["check-complete", write(tmp_path, "i.terms", INCOMPLETE_FILE)]),
+        ]
+        for code, argv in calls:
+            assert main(argv) == code
+            assert gc.isenabled(), argv
+
+        def raise_invariant(args):
+            raise errors.InternalInvariantError("boom")
+
+        monkeypatch.setattr(cli, "_run", raise_invariant)
+        assert main(calls[0][1]) == 4
+        assert gc.isenabled()
+
+    def test_restored_after_an_escaping_error_and_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, collector
+    ):
+        path = write(tmp_path, "u.terms", SIX_TERMS_FILE)
+
+        def raise_runtime(args):
+            raise RuntimeError("boom")
+
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(SystemExit):
+                main(["frob"])
+            assert gc.isenabled() == enabled
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_run", raise_runtime)
+                with pytest.raises(RuntimeError):
+                    main(["nmp", path])
+            assert gc.isenabled() == enabled
+            assert main(["nmp", path]) == 0
+            assert gc.isenabled() == enabled
+
+
+def term_file(ts):
+    return f"vars: {ts.nvars}\n" + "".join(f"{format_term(t)}\n" for t in ts)
+
+
+def cycle_inputs():
+    """(name, file text): term sets, point sets, and inputs every command
+    refuses or fails on."""
+    rng = random.Random(25)
+    for nvars in range(2, 7):
+        ts = TermSet(nvars, [random_term(rng, nvars, 3) for _ in range(8)])
+        yield f"random-{nvars}", term_file(ts)
+    yield "order-ideal", term_file(grown_order_ideal(rng, 3, 20))
+    yield "six-terms", SIX_TERMS_FILE
+    yield "grid", "vars: 2\n" + "".join(f"{a},{b}\n" for a in range(4) for b in range(3))
+    rationals = {
+        tuple(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(3)) for _ in range(12)
+    }
+    yield "rational", "vars: 3\n" + "".join(",".join(p) + "\n" for p in sorted(rationals))
+    yield "over-cap", "vars: 2\nx1^2147483648*x2\n"
+    yield "past-vars", "vars: 2\nx3\n"
+    yield "zero-denominator", "vars: 2\n0,0\n1,1/0\n"
+    yield "empty", ""
+    yield "251-points", "vars: 1\n" + "".join(f"{k}\n" for k in range(251))
+
+
+FLAGS = [[], ["--format", "json"], ["-v"], ["--quiet"]]
+
+
+class TestNoReferenceCycles:
+    """The collector could only traverse what a command builds, never free
+    it: no command, on any input and in any format, leaves cyclic garbage."""
+
+    @pytest.mark.parametrize(
+        "name,content", [pytest.param(*case, id=case[0]) for case in cycle_inputs()]
+    )
+    def test_no_cyclic_garbage(self, tmp_path, capsys, name, content, collector):
+        path, output = write(tmp_path, name, content), str(tmp_path / "out.txt")
+        cli.build_parser()  # main builds it once, before its pause: no command's garbage
+        codes = set()
+        gc.collect()
+        gc.disable()
+        try:
+            for command in cli._COMMANDS:
+                for flags in FLAGS:
+                    codes.add(main([command, path, "--output", output, *flags]))
+                    assert (gc.collect(), gc.garbage) == (0, []), (command, flags)
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert codes <= {0, 1, 2, 3}
+
+    def test_json_output_is_the_stdlib_encoding(self, tmp_path, capsys):
+        for name, content in cycle_inputs():
+            path = write(tmp_path, name, content)
+            for command in cli._COMMANDS:
+                if main([command, path, "--format", "json"]) in (0, 3):
+                    out = capsys.readouterr().out
+                    assert out == json.dumps(json.loads(out), indent=2) + "\n", (name, command)
+        doc = {"é\"\\": [[], {}, None, True, False, -(10**30), ("x", 0)], "": {"a": [1]}}
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)

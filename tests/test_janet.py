@@ -26,7 +26,7 @@ from barjanet import (
     star_set,
 )
 from barjanet import barcode
-from barjanet.janet import _LiveCompletion
+from barjanet.janet import Witness, _LiveCompletion
 from helpers import (
     benchmark_shaped_sets,
     divisor_closure,
@@ -490,6 +490,27 @@ class TestOnePassCheck:
             if len(ts) < 100:
                 for t, p, found in expected:
                     assert divisors_for_nm_product(ts, t, p) == (found or ())
+
+    def test_no_call_per_obligation(self, cases, monkeypatch):
+        # the descent runs inline and each record skips Witness's __new__;
+        # the live state's records are built the same way
+        def refuse(*args):
+            raise AssertionError("a call per obligation")
+
+        monkeypatch.setattr(Witness, "__new__", refuse)
+        for ts, _ in cases[:-1]:
+            live = _LiveCompletion(ts).witnesses()
+            assert all(type(w) is Witness for w in live)
+        monkeypatch.setattr("barjanet.janet.descend_columns", refuse)
+        for ts, expected in cases:
+            report = is_complete(ts)
+            assert all(type(w) is Witness for w in report.witnesses)
+            got = [
+                (w.term, w.power, None if w.divisor is None else (w.divisor,))
+                for w in report.witnesses
+            ]
+            assert got == expected
+            assert report.complete == all(found for _, _, found in expected)
 
     def test_one_power_term_per_variable_and_exponent(self, cases):
         # complete()'s live state lists the witnesses of its input alike
