@@ -245,8 +245,9 @@ def power_texts(bc: BarCode) -> list[str]:
 
 def corner_texts(bc: BarCode) -> list[str]:
     """Entry c: CornerVector.format() of the 0-based column c's corner vector.
-    By infinite_corners' rule, each line formats one cap and shares the text
-    above it with its right neighbour's; runs of infinities slice one string."""
+    By next_powers' rule, a column of depth d has its right neighbour's caps
+    above x_d, its own at x_d and infinity below: each line formats one cap,
+    shares the text above it and slices runs of infinities from one string."""
     n, exps = bc.nvars, [t.exponents for t in bc.labels]
     pieces = [f"x{i}^inf*" for i in range(1, n + 1)]
     full, at = "".join(pieces), [0, 0, *accumulate(map(len, pieces))]  # x_i starts at at[i]

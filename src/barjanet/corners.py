@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
 
 from .janet import nmp_table
-from .terms import Term, TermSet, variable_text
+from .terms import Term, TermSet
 
 
 INF = math.inf
-
-
-_entry_text = lru_cache(maxsize=4096)("^{}".format)  # kept like terms.variable_text
 
 
 @dataclass(frozen=True)
@@ -32,8 +27,7 @@ class CornerVector:
     entries: tuple
 
     def format(self) -> str:
-        variables = map(variable_text, range(1, len(self.entries) + 1))
-        return "*".join(map(add, variables, map(_entry_text, self.entries)))
+        return "*".join(f"x{i}^{e}" for i, e in enumerate(self.entries, 1))
 
     def __str__(self):
         return self.format()
@@ -44,24 +38,18 @@ def infinite_corners(
     table: dict[Term, dict[int, int]] | None = None,
 ) -> dict[Term, CornerVector]:
     """Corner vector for every term of the set, keyed in lex order; table is
-    the set's nmp_table, built when not given.
-
-    Read in decreasing lex order: the last term is infinite everywhere. A
-    term t whose lowest power is x_d^(k_d) agrees with the next term above
-    x_d and has its powers there, so it takes the next term's entries above
-    x_d, the cap t_d + k_d - 1 at x_d and infinity below x_d.
+    the set's nmp_table, built when not given. Each vector is the module
+    docstring's: INF everywhere but t_i + k_i - 1 at each power x_i^(k_i).
     """
     if table is None:
         table = nmp_table(terms)
-    entries = infinite = (INF,) * terms.nvars
-    vecs = []
-    for t in reversed(terms.terms):
-        for d, k in table[t].items():  # the lowest power comes first
-            entries = (*infinite[: d - 1], t.exponents[d - 1] + k - 1, *entries[d:])
-            break
-        vecs.append(CornerVector(entries))
-    vecs.reverse()
-    return dict(zip(terms.terms, vecs))
+    out = {}
+    for t in terms.terms:
+        entries = [INF] * terms.nvars
+        for i, k in table[t].items():
+            entries[i - 1] = t.exponents[i - 1] + k - 1
+        out[t] = CornerVector(tuple(entries))
+    return out
 
 
 def corner_to_json(vec: CornerVector) -> list:

@@ -32,7 +32,7 @@ from .errors import (
     TermSyntaxError,
 )
 from .janet import complete
-from .terms import MAX_VARS, Term, TermSet, format_term, parse_vars_header
+from .terms import MAX_VARS, Term, TermSet, _unit_quotients, format_term, parse_vars_header
 
 Point = tuple[Fraction, ...]
 
@@ -397,11 +397,6 @@ def monomial_generators(ideal_complement: TermSet) -> TermSet:
     inside = {t.exponents for t in ideal_complement}
     minimal = [s for s in stars if all(d in inside for d in _unit_quotients(s.exponents))]
     return TermSet(ideal_complement.nvars, minimal)
-
-
-def _unit_quotients(e: tuple[int, ...]):
-    """The exponent vectors of t/x_v for each x_v dividing t = x^e, by increasing v."""
-    return (e[:v] + (x - 1,) + e[v + 1 :] for v, x in enumerate(e) if x)
 
 
 def normal_form(f: Polynomial, basis: TermSet, points: PointSet) -> Polynomial:

@@ -223,14 +223,13 @@ class TermSet:
         Closure under dividing out one variable at a time is equivalent to
         full divisor closure.
         """
-        for t in self.terms:
-            for i in range(self.nvars):
-                if t.exponents[i]:
-                    exps = list(t.exponents)
-                    exps[i] -= 1
-                    if Term(exps) not in self._members:
-                        return False
-        return True
+        inside = {t.exponents for t in self.terms}
+        return all(q in inside for t in self.terms for q in _unit_quotients(t.exponents))
+
+
+def _unit_quotients(e: tuple[int, ...]):
+    """The exponent vectors of t/x_v for each x_v dividing t = x^e, by increasing v."""
+    return (e[:v] + (x - 1,) + e[v + 1 :] for v, x in enumerate(e) if x)
 
 
 def format_term(t: Term) -> str:

@@ -371,3 +371,30 @@ def janet_like_basis_by_fractions(points: PointSet):
     completed, _ = complete(monomial_generators(escalier))
     basis = [Polynomial(t.nvars, {t: 1}) - interpolant(t) for t in completed.terms]
     return escalier, basis
+
+
+def janet_like_reduce(
+    f: Polynomial, basis: Sequence[Polynomial]
+) -> tuple[Polynomial, list[tuple[Term, ...]]]:
+    """Janet-like reduction of f by a basis: while some term of f has a
+    Janet-like divisor among the leading terms (janet_like_divisors over
+    nmp_table_bruteforce), cancel the lex-greatest such term u with the
+    multiple of the basis element whose leading term divides it. Returns the
+    remainder and, per step, every divisor u had; the first one is used."""
+    by_lead = {g.leading_term: g for g in basis}
+    leads = TermSet(f.nvars, by_lead)
+    table = nmp_table_bruteforce(leads)
+    coeffs, steps = dict(f.coefficients), []
+    while True:
+        found = ((u, janet_like_divisors(leads, u, table)) for u in sorted(coeffs, reverse=True))
+        u, divisors = next(((u, ds) for u, ds in found if ds), (None, ()))
+        if u is None:
+            return Polynomial(f.nvars, coeffs), steps
+        steps.append(divisors)
+        g = by_lead[divisors[0]]
+        quotient, c = u / g.leading_term, coeffs[u] / g.coefficients[g.leading_term]
+        for s, a in g.coefficients.items():
+            v = s * quotient
+            coeffs[v] = coeffs.get(v, 0) - c * a
+            if not coeffs[v]:
+                del coeffs[v]

@@ -38,7 +38,12 @@ from helpers import (
     random_term,
     scaled,
 )
-from oracles import escalier_scan_by_fractions, janet_like_basis_by_fractions
+from oracles import (
+    escalier_scan_by_fractions,
+    janet_like_basis_by_fractions,
+    janet_like_reduce,
+    nmp_table_bruteforce,
+)
 
 
 def t(*exps):
@@ -511,6 +516,58 @@ class TestIntegerScan:
         for g in basis:
             lead = Polynomial(g.nvars, {g.leading_term: 1})
             assert g == lead - normal_form(lead, N, X)
+
+
+def assert_involutive_certificate(rng, X):
+    """janet_like_basis(X) through the division it is named for: x_i^(k_i)*g
+    reduces to 0 for every basis element g and nonmultiplicative power of its
+    leading term; every step finds one divisor; and random terms in a box
+    around the escalier reduce to their interpolants, on the escalier."""
+    basis = janet_like_basis(X)
+    N, interpolant = escalier_scan(X)
+    n = X.nvars
+    leads = TermSet(n, [g.leading_term for g in basis])
+    table = nmp_table_bruteforce(leads)
+    for g in basis:
+        for i, k in table[g.leading_term].items():
+            power = Term.variable(n, i, k)
+            multiple = Polynomial(n, {u * power: c for u, c in g.coefficients.items()})
+            remainder, found = janet_like_reduce(multiple, basis)
+            assert not remainder, (g.leading_term, i, k)
+            assert all(len(divisors) == 1 for divisors in found)
+    bounds = [b + 1 for b in N.bounding_box()]
+    for _ in range(6):
+        u = Term(rng.randint(0, b) for b in bounds)
+        remainder, found = janet_like_reduce(Polynomial(n, {u: 1}), basis)
+        assert all(len(divisors) == 1 for divisors in found)
+        assert set(remainder.coefficients) <= set(N)
+        assert remainder == interpolant(u)
+
+
+class TestInvolutiveCertificate:
+    """The basis as a whole, by Janet-like reduction (janet_like_reduce), an
+    oracle for the tails that uses no elimination."""
+
+    def test_seeded_grids(self):
+        rng = random.Random(4431)
+        for _ in range(8):
+            n, side = rng.randint(1, 4), rng.randint(2, 4)
+            grid = list(itertools.product(range(side), repeat=n))
+            X = PointSet(rng.sample(grid, rng.randint(1, min(30, len(grid)))))
+            assert_involutive_certificate(rng, X)
+
+    def test_seeded_rational_sets(self):
+        rng = random.Random(4432)
+        for n in (1, 2, 3, 4, 2, 3):
+            points = {
+                tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n))
+                for _ in range(rng.randint(1, 30))
+            }
+            assert_involutive_certificate(rng, PointSet(sorted(points)))
+
+    @pytest.mark.parametrize("X", rescaling_edge_cases())
+    def test_rescaling_edge_cases(self, X):
+        assert_involutive_certificate(random.Random(4433), X)
 
 
 def one_coordinate_set(n, size, position):

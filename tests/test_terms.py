@@ -27,7 +27,13 @@ from barjanet.terms import (
     read_term_line,
     variable_text,
 )
-from helpers import random_term, sparse_ci_terms, sparse_ci_text
+from helpers import (
+    divisor_closure,
+    grown_order_ideal,
+    random_term,
+    sparse_ci_terms,
+    sparse_ci_text,
+)
 from oracles import box_terms
 
 
@@ -207,6 +213,32 @@ class TestTermSet:
         assert TermSet(3, [t(0, 0, 0), t(1, 0, 0), t(0, 1, 0), t(0, 0, 1)]).is_order_ideal()
         assert not TermSet(3, [t(1, 0, 0)]).is_order_ideal()
         assert not TermSet(3, [t(0, 0, 0), t(0, 1, 1)]).is_order_ideal()
+
+    def test_order_ideal_is_full_divisor_closure(self):
+        # the oracle: every term of the box below each member is a member
+        def closed(ts):
+            return all(d in ts for u in ts for d in box_terms(u.exponents))
+
+        rng = random.Random(2601)
+        cases = [TermSet(n, [Term.one(n)]) for n in (1, 5)]  # {1}
+        cases.append(TermSet(3, [t(1, 0, 0), t(0, 1, 0), t(0, 0, 1)]))  # no 1
+        holes = []
+        for n in range(1, 6):
+            cases += [
+                TermSet(n, {random_term(rng, n, 2) for _ in range(rng.randint(1, 10))})
+                for _ in range(20)
+            ]
+            for _ in range(4):
+                ideal = grown_order_ideal(rng, n, rng.randint(1, 16))
+                cases.append(ideal)
+                m = ideal.terms[-1]  # lex-last, so no m*x_w is a member
+                for v in {0, n - 1}:  # a quotient missing at x_1 and at x_n
+                    u = Term(m.exponents[:v] + (m.exponents[v] + 1,) + m.exponents[v + 1 :])
+                    grown = divisor_closure(TermSet(n, [*ideal, u]))
+                    holes.append(TermSet(n, set(grown) - {m}))  # only u/x_v is missing
+        for ts in cases + holes:
+            assert ts.is_order_ideal() == closed(ts), ts
+        assert not any(hole.is_order_ideal() for hole in holes)
 
     def test_bounding_box(self):
         ts = TermSet(2, [t(1, 3), t(4, 0)])
