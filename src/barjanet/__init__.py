@@ -3,8 +3,8 @@
 Build the bar code of a set of terms, read Janet multiplicative variables
 and Janet-like nonmultiplicative powers off it, test and perform
 completeness, describe cones by corner vectors, and compute reduced
-Janet-like bases of vanishing ideals of rational points by exact
-evaluation-matrix interpolation.
+Janet-like bases of vanishing ideals of rational points, with tails from
+an exact integer scan of the escalier's evaluation vectors.
 """
 
 from .barcode import (
@@ -46,7 +46,6 @@ from .points import (
     PointSet,
     Polynomial,
     RationalMatrix,
-    evaluation_matrix,
     format_polynomial,
     groebner_escalier,
     janet_like_basis,

@@ -54,9 +54,6 @@ class CompletionReport:
     witnesses: tuple[Witness, ...]
     added: tuple[Term, ...] = ()
 
-    def failing(self) -> tuple[Witness, ...]:
-        return tuple(w for w in self.witnesses if w.divisor is None)
-
 
 def multiplicative_variables_from_stars(bc: BarCode, t: Term) -> frozenset[int]:
     """Janet multiplicative variables of t, read off the stars: x_i is

@@ -178,18 +178,6 @@ class Polynomial:
             raise EmptyInputError("the zero polynomial has no leading term")
         return max(self.coefficients)
 
-    def __add__(self, other: Polynomial) -> Polynomial:
-        if self.nvars != other.nvars:
-            raise DimensionError("polynomials live in different rings")
-        merged = [*self.coefficients.items(), *other.coefficients.items()]
-        return Polynomial(self.nvars, merged)
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
-
-    def __neg__(self) -> Polynomial:
-        return Polynomial(self.nvars, {t: -c for t, c in self.coefficients.items()})
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         pt = tuple(Fraction(c) for c in point)
         if len(pt) != self.nvars:
@@ -233,35 +221,15 @@ class RationalMatrix:
 
     entries: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def transpose(self) -> RationalMatrix:
-        return RationalMatrix(tuple(zip(*self.entries)))
-
-    def determinant(self) -> Fraction:
-        if self.rows != self.cols:
-            raise DimensionError("determinant of a non-square matrix")
-        try:
-            a, sign = _forward_eliminate([list(row) for row in self.entries])
-        except SingularMatrixError:
-            return Fraction(0)
-        return prod((row[r] for r, row in enumerate(a)), start=Fraction(sign))
-
     def solve(self, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Exact solution of self * x = rhs for a square invertible matrix."""
-        n = self.rows
-        if self.cols != n:
+        n = len(self.entries)
+        if any(len(row) != n for row in self.entries):
             raise DimensionError("solve needs a square matrix")
         if len(rhs) != n:
             raise DimensionError("right-hand side has the wrong length")
-        augmented = [[*row, Fraction(v)] for row, v in zip(self.entries, rhs)]
-        a, _ = _forward_eliminate(augmented)
+        a = [[*row, Fraction(v)] for row, v in zip(self.entries, rhs)]
+        _forward_eliminate(a)
         x = [Fraction(0)] * n
         for r in range(n - 1, -1, -1):
             acc = a[r][n]
@@ -271,33 +239,21 @@ class RationalMatrix:
         return tuple(x)
 
 
-def _forward_eliminate(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], int]:
+def _forward_eliminate(a: list[list[Fraction]]) -> None:
     """Upper-triangular form, in place, of the n rows of a over their first n
-    columns, pivoting on the first nonzero entry (exact, so any pivot does).
-    Returns the rows and the sign of the row swaps."""
+    columns, pivoting on the first nonzero entry (exact, so any pivot does)."""
     n = len(a)
-    sign = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise SingularMatrixError("the matrix is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
+        a[col], a[pivot] = a[pivot], a[col]
         inv = 1 / a[col][col]
         for r in range(col + 1, n):
             if a[r][col]:
                 factor = a[r][col] * inv
                 for c in range(col, len(a[r])):
                     a[r][c] -= factor * a[col][c]
-    return a, sign
-
-
-def evaluation_matrix(terms: Sequence[Term], points: PointSet) -> RationalMatrix:
-    """Row per term, column per point, entry term(point)."""
-    return RationalMatrix(
-        tuple(tuple(eval_term(t, p) for p in points) for t in terms)
-    )
 
 
 def groebner_escalier(points: PointSet) -> TermSet:
@@ -408,7 +364,7 @@ def normal_form(f: Polynomial, basis: TermSet, points: PointSet) -> Polynomial:
         raise DimensionError(
             f"basis size {len(basis)} must match point count {len(points)}"
         )
-    system = evaluation_matrix(basis.terms, points).transpose()
+    system = RationalMatrix(tuple(tuple(eval_term(s, p) for s in basis) for p in points))
     values = [f.evaluate(p) for p in points]
     coeffs = system.solve(values)
     return Polynomial(f.nvars, dict(zip(basis.terms, coeffs)))

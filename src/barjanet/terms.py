@@ -85,10 +85,6 @@ class Term:
         return len(self.exponents)
 
     @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
     def is_one(self) -> bool:
         return not any(self.exponents)
 
@@ -356,13 +352,9 @@ _MAX_PIECES = 4096  # four powers of each of MAX_VARS variables, in about 0.7 MB
 _new_object = object.__new__  # _read_line's Term(...) without its checks
 
 
-def read_term_line(text: str, nvars: int, line: int | None = None) -> Term:
-    """parse_term(text, nvars, line), reading a product line without it."""
-    return _read_line(text, nvars, line, {})
-
-
 def _read_line(text: str, nvars: int, line: int | None, pieces: dict) -> Term:
-    """read_term_line; pieces maps a piece read before to its (index - 1, power, rank)."""
+    """parse_term(text, nvars, line), reading a product line without it; pieces
+    maps a piece read before to its (index - 1, power, rank)."""
     exps = [0] * nvars
     last = -1  # the last piece's rank while the line is canonical, nvars after
     for piece in text.split("*"):

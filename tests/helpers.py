@@ -125,11 +125,6 @@ def random_polynomial(rng: random.Random, nvars: int, max_exp: int = 3):
     return Polynomial(nvars, coeffs)
 
 
-def scaled(f: Polynomial, a: Fraction) -> Polynomial:
-    """a * f, built term by term through the constructor."""
-    return Polynomial(f.nvars, {t: a * c for t, c in f.coefficients.items()})
-
-
 def nm_powers(nvars: int, nmp: dict[int, int]) -> tuple[Term, ...]:
     """The powers x_i^(k_i) of one nmp_table entry, by increasing i."""
     return tuple(Term.variable(nvars, i, k) for i, k in sorted(nmp.items()))

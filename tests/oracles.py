@@ -219,7 +219,7 @@ def complete_by_rebuild(terms: TermSet) -> tuple[TermSet, CompletionReport]:
                 witnesses=report.witnesses,
                 added=tuple(added),
             )
-        candidate = min(w.term * w.power for w in report.failing())
+        candidate = min(w.term * w.power for w in report.witnesses if w.divisor is None)
         if any(e > b for e, b in zip(candidate.exponents, box)):
             raise CompletionBoundError(
                 f"completion candidate {candidate} escapes the bounding box {box}"
@@ -364,12 +364,22 @@ def escalier_scan_by_fractions(points: PointSet):
     return TermSet(n, kept), interpolant
 
 
+def combination(*summands: tuple[Fraction, Polynomial]) -> Polynomial:
+    """The sum of a*f over the (a, f) summands: the Polynomial constructor
+    merges repeated terms and drops zero coefficients."""
+    n = summands[0][1].nvars
+    return Polynomial(n, [(t, a * c) for a, f in summands for t, c in f.coefficients.items()])
+
+
 def janet_like_basis_by_fractions(points: PointSet):
     """The escalier and the basis of janet_like_basis, over the reference
     scan."""
     escalier, interpolant = escalier_scan_by_fractions(points)
     completed, _ = complete(monomial_generators(escalier))
-    basis = [Polynomial(t.nvars, {t: 1}) - interpolant(t) for t in completed.terms]
+    basis = [
+        combination((1, Polynomial(t.nvars, {t: 1})), (-1, interpolant(t)))
+        for t in completed.terms
+    ]
     return escalier, basis
 
 

@@ -39,9 +39,9 @@ from helpers import (
     random_polynomial,
     random_term,
     random_term_set,
-    scaled,
 )
 from oracles import (
+    combination,
     janet_like_divisors,
     multiplicative_variables,
     nmp_table_bruteforce,
@@ -196,7 +196,7 @@ def test_criterion_08_janet_cones():
         seed_set = random_term_set(rng, max_vars=3, max_terms=8, max_exp=4)
         ts, _ = complete(seed_set)
         for w in expanded_box(ts, margin=1):
-            if w.degree > 8:
+            if sum(w.exponents) > 8:
                 continue
             divisors = []
             for t in ts:
@@ -268,7 +268,8 @@ def test_criterion_10_points_pipeline():
         b = F(rng.randint(-6, 6), rng.randint(1, 6))
         nf_f = normal_form(f, escalier, X)
         nf_h = normal_form(h, escalier, X)
-        assert normal_form(scaled(f, a) + scaled(h, b), escalier, X) == scaled(nf_f, a) + scaled(nf_h, b)
+        combo = normal_form(combination((a, f), (b, h)), escalier, X)
+        assert combo == combination((a, nf_f), (b, nf_h))
         assert normal_form(nf_f, escalier, X) == nf_f
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

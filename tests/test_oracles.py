@@ -1,5 +1,6 @@
 """The oracles stay out of the package: barjanet defines none of the names
-oracles.py defines, and no module under src/ imports the test modules."""
+oracles.py defines, nor the members only tests called, and no module under
+src/ imports the test modules."""
 
 import ast
 import importlib
@@ -35,15 +36,33 @@ def imported_roots(path):
     return roots
 
 
-def test_no_oracle_name_in_the_package():
-    names = defined_names(TESTS / "oracles.py")
-    assert "janet_completion" in names and "_agrees_above" in names
-    modules = [barjanet] + [
+def package_modules():
+    return [barjanet] + [
         importlib.import_module(f"barjanet.{info.name}")
         for info in pkgutil.iter_modules(barjanet.__path__)
     ]
-    for module in modules:
+
+
+def test_no_oracle_name_in_the_package():
+    names = defined_names(TESTS / "oracles.py")
+    assert "janet_completion" in names and "_agrees_above" in names
+    for module in package_modules():
         assert not names & set(vars(module)), module.__name__
+
+
+def test_members_only_tests_called_stay_out():
+    # the tests use oracles.combination for +/- and one-line rewrites for the rest
+    removed = {
+        barjanet.Polynomial: ("__add__", "__sub__", "__neg__"),
+        barjanet.RationalMatrix: ("determinant", "rows", "cols", "transpose"),
+        barjanet.Term: ("degree",),
+        barjanet.CompletionReport: ("failing",),
+    }
+    for cls, members in removed.items():
+        for member in members:
+            assert not hasattr(cls, member), f"{cls.__name__}.{member}"
+    for module in package_modules():
+        assert not {"evaluation_matrix", "read_term_line"} & set(vars(module)), module.__name__
 
 
 def test_the_package_imports_no_test_module():

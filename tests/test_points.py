@@ -17,7 +17,6 @@ from barjanet import (
     TermSet,
     TermSyntaxError,
     complete,
-    evaluation_matrix,
     format_polynomial,
     groebner_escalier,
     is_complete,
@@ -30,15 +29,15 @@ from barjanet import (
 )
 import barjanet.points as points_module
 from barjanet.cli import main
-from barjanet.points import escalier_scan
+from barjanet.points import escalier_scan, eval_term
 from barjanet.terms import MAX_VARS
 from helpers import (
     random_point_set,
     random_polynomial,
     random_term,
-    scaled,
 )
 from oracles import (
+    combination,
     escalier_scan_by_fractions,
     janet_like_basis_by_fractions,
     janet_like_reduce,
@@ -129,7 +128,8 @@ class TestEscalier:
             esc = groebner_escalier(X)
             assert len(esc) == len(X)
             assert esc.is_order_ideal()
-            assert evaluation_matrix(esc.terms, X).determinant() != 0
+            system = RationalMatrix(tuple(tuple(eval_term(s, p) for s in esc) for p in X))
+            system.solve([F(0)] * len(X))  # raises SingularMatrixError if singular
 
 
 class TestMonomialGenerators:
@@ -237,8 +237,8 @@ class TestNormalForm:
             assert set(nf.coefficients) <= set(N.terms)
             a = F(rng.randint(-5, 5), rng.randint(1, 5))
             b = F(rng.randint(-5, 5), rng.randint(1, 5))
-            combo = normal_form(scaled(f, a) + scaled(g, b), N, X)
-            assert combo == scaled(nf, a) + scaled(normal_form(g, N, X), b)
+            combo = normal_form(combination((a, f), (b, g)), N, X)
+            assert combo == combination((a, nf), (b, normal_form(g, N, X)))
             assert normal_form(nf, N, X) == nf
 
 
@@ -276,33 +276,29 @@ def random_square_matrices(rng):
 class TestRationalMatrix:
     """The reference elimination against the definitions."""
 
-    def test_determinant_is_leibniz_expansion(self):
-        swapped = singular = 0
-        for a in random_square_matrices(random.Random(331)):
-            expected = leibniz_determinant(a)
-            assert RationalMatrix(tuple(map(tuple, a))).determinant() == expected
-            swapped += a[0][0] == 0 and expected != 0
-            singular += expected == 0
-        assert swapped >= 10 and singular >= 10
-
     def test_solve_satisfies_the_system(self):
         rng = random.Random(337)
+        swapped = singular = 0
         for a in random_square_matrices(rng):
             m = RationalMatrix(tuple(map(tuple, a)))
             b = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in a]
             if leibniz_determinant(a) == 0:
                 with pytest.raises(SingularMatrixError):
                     m.solve(b)
+                singular += 1
                 continue
             x = m.solve(b)
             assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+            swapped += a[0][0] == 0
+        assert swapped >= 10 and singular >= 10
 
     def test_shape_errors(self):
         wide = RationalMatrix(((F(1), F(2), F(3)), (F(4), F(5), F(6))))
         with pytest.raises(DimensionError):
-            wide.determinant()
-        with pytest.raises(DimensionError):
             wide.solve([F(1), F(2)])
+        ragged = RationalMatrix(((F(1), F(2)), (F(3),)))
+        with pytest.raises(DimensionError):
+            ragged.solve([F(1), F(2)])
         square = RationalMatrix(((F(1), F(2)), (F(3), F(4))))
         with pytest.raises(DimensionError):
             square.solve([F(1), F(2), F(3)])
@@ -409,7 +405,7 @@ class TestEscalierInterpolation:
             N = groebner_escalier(X)
             for g in janet_like_basis(X):
                 lead = Polynomial(g.nvars, {g.leading_term: 1})
-                assert g == lead - normal_form(lead, N, X)
+                assert g == combination((1, lead), (-1, normal_form(lead, N, X)))
 
     def test_random_terms_equal_normal_forms(self):
         rng = random.Random(4402)
@@ -478,6 +474,42 @@ def rescaling_edge_cases():
     ]
 
 
+def non_nested_fibre_sets():
+    """Point sets with two x1-fibres whose escaliers in x2..xn are not
+    nested: the x1 = 0 fibre {(0,0,0), (0,1,0)} beside the x1 = 1 fibre
+    {(1,0,0), (1,0,1)}, then seeded sets in 3-4 variables of 2-4 fibres,
+    each a sample of a 3-value grid in x2..xn, kept when two fibres'
+    escaliers are not nested."""
+    rng = random.Random(4441)
+    sets = [PointSet([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1)])]
+    while len(sets) < 12:
+        n = rng.randint(3, 4)
+        grid = list(itertools.product(map(F, range(3)), repeat=n - 1))
+        x1_values = [F(v, 2) for v in rng.sample(range(-4, 5), rng.randint(2, 4))]
+        fibres = {x1: rng.sample(grid, rng.randint(2, 6)) for x1 in x1_values}
+        escaliers = [set(groebner_escalier(PointSet(f))) for f in fibres.values()]
+        if any(not (a <= b or b <= a) for a, b in itertools.combinations(escaliers, 2)):
+            sets.append(PointSet([(x1, *q) for x1, f in fibres.items() for q in f]))
+    return sets
+
+
+def shared_coordinate_sets():
+    """Seeded point sets in 2-4 variables of at most 35 points, each
+    coordinate taking one of 3 rational values."""
+    rng = random.Random(4442)
+    sets = []
+    for _ in range(12):
+        n = rng.randint(2, 4)
+        values = []
+        for _ in range(n):
+            d = rng.randint(1, 4)
+            values.append([F(v, d) for v in rng.sample(range(-6, 7), 3)])
+        cube = list(itertools.product(*values))
+        most = min(35, len(cube))
+        sets.append(PointSet(rng.sample(cube, rng.randint(most // 2, most))))
+    return sets
+
+
 class TestIntegerScan:
     """The integer escalier scan against the Fraction scan it replaced
     (escalier_scan_by_fractions in helpers) and the normal_form oracle."""
@@ -503,6 +535,16 @@ class TestIntegerScan:
         with pytest.raises(DimensionError):
             interpolant(t(1))
 
+    def test_non_nested_fibres(self):
+        rng = random.Random(4414)
+        for X in non_nested_fibre_sets():
+            assert_scan_equals_oracle(rng, X)
+
+    def test_many_shared_coordinates(self):
+        rng = random.Random(4415)
+        for X in shared_coordinate_sets():
+            assert_scan_equals_oracle(rng, X)
+
     @pytest.mark.parametrize("X", rescaling_edge_cases())
     def test_rescaling_edge_cases(self, X):
         rng = random.Random(4413)
@@ -515,7 +557,7 @@ class TestIntegerScan:
         assert list(basis) == expected_basis
         for g in basis:
             lead = Polynomial(g.nvars, {g.leading_term: 1})
-            assert g == lead - normal_form(lead, N, X)
+            assert g == combination((1, lead), (-1, normal_form(lead, N, X)))
 
 
 def assert_involutive_certificate(rng, X):
@@ -568,6 +610,16 @@ class TestInvolutiveCertificate:
     @pytest.mark.parametrize("X", rescaling_edge_cases())
     def test_rescaling_edge_cases(self, X):
         assert_involutive_certificate(random.Random(4433), X)
+
+    def test_non_nested_fibres(self):
+        rng = random.Random(4434)
+        for X in non_nested_fibre_sets():
+            assert_involutive_certificate(rng, X)
+
+    def test_many_shared_coordinates(self):
+        rng = random.Random(4435)
+        for X in shared_coordinate_sets():
+            assert_involutive_certificate(rng, X)
 
 
 def one_coordinate_set(n, size, position):

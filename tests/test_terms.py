@@ -24,7 +24,6 @@ from barjanet.terms import (
     _read_line,
     format_exponents,
     format_power,
-    read_term_line,
     variable_text,
 )
 from helpers import (
@@ -333,7 +332,7 @@ class TestLineReader:
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(PRODUCT, ANY_LINE), st.integers(1, 4))
     def test_agrees_with_parse_term(self, text, nvars):
-        assert read_outcome(read_term_line, text, nvars) == read_outcome(
+        assert read_outcome(lambda *args: _read_line(*args, {}), text, nvars) == read_outcome(
             parse_term, text, nvars
         )
 
@@ -359,7 +358,7 @@ class TestLineReader:
         ],
     )
     def test_edge_lines_agree_with_parse_term(self, text):
-        assert read_outcome(read_term_line, text, 3) == read_outcome(parse_term, text, 3)
+        assert read_outcome(lambda *args: _read_line(*args, {}), text, 3) == read_outcome(parse_term, text, 3)
 
     def test_product_lines_skip_parse_term(self, monkeypatch):
         def refuse(*args):
@@ -368,7 +367,7 @@ class TestLineReader:
         lines = ["x1", "x3^12*x1", " x2 ^ 3 * x\t2\t", f"x1^{MAX_EXPONENT}", "x\u0663^\u0662"]
         expected = [parse_term(line, 3) for line in lines]
         monkeypatch.setattr("barjanet.terms.parse_term", refuse)
-        assert [read_term_line(line, 3) for line in lines] == expected
+        assert [_read_line(line, 3, None, {}) for line in lines] == expected
 
     def test_term_set_errors_keep_their_line(self):
         with pytest.raises(TermSyntaxError) as info:
@@ -493,7 +492,7 @@ class TestPieceDict:
 
         def line_by_line():
             lines = enumerate(text.splitlines()[1:], 2)
-            return TermSet(MAX_VARS, [read_term_line(body, MAX_VARS, k) for k, body in lines])
+            return TermSet(MAX_VARS, [_read_line(body, MAX_VARS, k, {}) for k, body in lines])
 
         assert peak(lambda: parse_term_set(text)) <= 1.2 * peak(line_by_line)
 
@@ -680,7 +679,7 @@ class TestCanonicalText:
     @given(LINE, st.integers(1, 4))
     def test_line_reader(self, text, nvars):
         try:
-            u = read_term_line(text, nvars)
+            u = _read_line(text, nvars, None, {})
         except TermSyntaxError:
             return
         check_text(u, text)
