@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import indexOf, itemgetter, ne, sub
+from operator import attrgetter, indexOf, itemgetter, ne, sub
 from typing import Sequence
 
 from .errors import (
@@ -77,7 +77,7 @@ class StarPlacement:
 class BarCode:
     """Immutable bar code; rows, bars and columns are indexed from 1."""
 
-    __slots__ = ("_nvars", "_depths", "_labels", "_bounds", "_index", "_columns", "_stars")
+    __slots__ = ("_nvars", "_depths", "_labels", "_bounds", "_columns", "_stars")
 
     def __init__(self, nvars, depths, labels, _internal=False):
         if not _internal:
@@ -86,7 +86,6 @@ class BarCode:
         self._depths = depths
         self._labels = labels
         self._bounds = None
-        self._index = None
         self._columns = None
         self._stars = None
 
@@ -167,17 +166,15 @@ class BarCode:
         return self._labels[first - 1]
 
     def column_of(self, t: Term) -> int:
-        """Column carrying the label t."""
-        if self._index is None:
-            self._index = {t: col for col, t in enumerate(self._labels, 1)}
-        try:
-            return self._index[t]
-        except KeyError:
-            raise MembershipError(f"{t} is not a column label of the bar code") from None
+        """Column carrying the label t, bisected: the labels are sorted by _rev."""
+        col = bisect_left(self._labels, t._rev, key=attrgetter("_rev"))
+        if col == len(self._labels) or self._labels[col] != t:
+            raise MembershipError(f"{t} is not a column label of the bar code")
+        return col + 1
 
     def exponent_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Entry v: each column's x_(v+1)-exponent. Built on first use, like
-        column_of's index, so building a bar code pays nothing for either."""
+        """Entry v: each column's x_(v+1)-exponent. Built on first use, so
+        building a bar code pays nothing for it."""
         if self._columns is None:
             self._columns = tuple(zip(*(t.exponents for t in self._labels)))
         return self._columns

@@ -32,7 +32,7 @@ from .errors import (
     TermSyntaxError,
 )
 from .janet import complete
-from .terms import MAX_VARS, Term, TermSet, _unit_quotients, format_term, parse_vars_header
+from .terms import MAX_VARS, Term, TermSet, _file_lines, _unit_quotients, format_term
 
 Point = tuple[Fraction, ...]
 
@@ -90,18 +90,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_points(text: str) -> PointSet:
-    """Points file: optional "vars: n" header, one comma-separated point per
-    line, '#' comments."""
+    """Points file in _file_lines' layout, one comma-separated point a line."""
+    nvars, content = _file_lines(text)
     rows = []
-    nvars = None
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if nvars is None and not rows:
-            nvars = parse_vars_header(body, line_no)
-            if nvars is not None:
-                continue
+    for line_no, body in content:
         fields = body.split(",")
         if len(fields) > MAX_VARS:
             raise TermSyntaxError(f"more than {MAX_VARS} variables, the limit", line=line_no)

@@ -7,7 +7,9 @@ Conventions used throughout the package:
 * the order is lex induced by x_1 < x_2 < ... < x_n, i.e. the highest
   differing variable decides.
 
-Term-set lines take two routes: a product line such as x1^2*x3 is split on "*",
+_file_lines is the one reader of the layout that term-set and points files
+share: an optional "vars: n" header, '#' comments and blank lines. Term-set
+lines then take two routes: a product line such as x1^2*x3 is split on "*",
 and each distinct piece of a file is matched once as one factor (_read_line, the
 only writer of the file's piece memo); every other line, and any index out of
 range, number over 18 digits or exponent over the cap, goes to parse_term, the
@@ -392,16 +394,20 @@ def _bounded_nat(digits: str, cap: int) -> int:
     return min(int(digits), cap + 1)
 
 
-def parse_vars_header(body: str, line: int | None = None) -> int | None:
-    """The n of a "vars: n" header line of a term-set or points file, or None
-    when the line is not one; n must lie in 1..MAX_VARS."""
-    m = _VARS_HEADER.match(body)
+def _file_lines(text: str) -> tuple[int | None, list[tuple[int, str]]]:
+    """The layout of a term-set or points file: the n of a "vars: n" header on
+    the first line that holds more than a comment, or None, and every other
+    nonblank line as (line number, body), '#' comments cut and stripped."""
+    raws = text.splitlines()  # comments are cut only from a file that holds a "#"
+    raws = (raw.split("#", 1)[0] for raw in raws) if "#" in text else raws
+    content = [(k, body) for k, raw in enumerate(raws, 1) if (body := raw.strip())]
+    m = _VARS_HEADER.match(content[0][1]) if content else None
     if m is None:
-        return None
-    nvars = _bounded_nat(m.group(1), MAX_VARS)
+        return None, content
+    nvars = _bounded_nat(m[1], MAX_VARS)
     if not 1 <= nvars <= MAX_VARS:
-        raise TermSyntaxError(f"vars must lie in 1..{MAX_VARS}", line=line)
-    return nvars
+        raise TermSyntaxError(f"vars must lie in 1..{MAX_VARS}", line=content[0][0])
+    return nvars, content[1:]
 
 
 def parse_term_set(text: str) -> TermSet:
@@ -411,13 +417,7 @@ def parse_term_set(text: str) -> TermSet:
     index used; exponent-list lines fix it exactly and must agree. Either way
     it is at most MAX_VARS.
     """
-    raws = text.splitlines()  # comments are cut only from a file that holds a "#"
-    raws = (raw.split("#", 1)[0] for raw in raws) if "#" in text else raws
-    content = [(k, body) for k, raw in enumerate(raws, 1) if (body := raw.strip())]
-    nvars = parse_vars_header(content[0][1], content[0][0]) if content else None
-    if nvars is not None:
-        content = content[1:]
-
+    nvars, content = _file_lines(text)
     if nvars is None:
         # n before any term is read: the exponent lists' length, or the largest
         # index among the product lines' distinct pieces (see _widest)

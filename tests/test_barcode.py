@@ -10,6 +10,7 @@ from barjanet import (
     BarCode,
     EmptyInputError,
     InputError,
+    MembershipError,
     Term,
     TermSet,
     canonical_labels,
@@ -26,6 +27,7 @@ from barjanet import (
 from helpers import (
     barcode_from_json,
     random_order_ideal,
+    random_term,
     random_term_set,
     sparse_ci_terms,
 )
@@ -191,6 +193,51 @@ class TestFromLengths:
     def test_rejects_zero_columns(self):
         with pytest.raises(EmptyInputError, match="at least one column"):
             BarCode.from_lengths([[], []])
+
+
+def assert_columns_are_label_positions(bc):
+    labels = list(bc.labels)
+    for label in labels:
+        assert bc.column_of(label) == labels.index(label) + 1
+
+
+class TestColumnOf:
+    def test_seeded_sets_and_their_canonical_codes(self):
+        rng = random.Random(29)
+        for nvars in range(1, 7):
+            for _ in range(15):
+                size = rng.randint(1, 40)
+                ts = TermSet(nvars, {random_term(rng, nvars, 4) for _ in range(size)})
+                bc = BarCode.build(ts)
+                assert_columns_are_label_positions(bc)
+                rows = [bc.one_lengths(i) for i in range(1, nvars + 1)]
+                assert_columns_are_label_positions(BarCode.from_lengths(rows))
+                for _ in range(10):
+                    other = random_term(rng, nvars, 5)
+                    if other not in ts:
+                        with pytest.raises(MembershipError):
+                            bc.column_of(other)
+
+    def test_sparse_and_canonical(self):
+        assert_columns_are_label_positions(BarCode.build(sparse_ci_terms()))
+        canonical = BarCode.from_lengths([[1, 1, 1, 1], [2, 1, 1], [3, 1]])
+        assert_columns_are_label_positions(canonical)
+        assert canonical.column_of(t(0, 0, 1)) == 4
+
+    @pytest.mark.parametrize(
+        "outsider",
+        [
+            t(0, 0, 0),  # sorts before the first label
+            t(3, 0, 0),  # between x1^2 and x2*x3
+            t(0, 0, 2),  # after the last label
+            t(1, 0),  # another ring: fewer variables
+            t(1, 0, 0, 0),  # another ring: more variables
+        ],
+    )
+    def test_non_members_rejected(self, outsider):
+        bc = BarCode.build(EXAMPLE_FIVE)
+        with pytest.raises(MembershipError, match="is not a column label of the bar code"):
+            bc.column_of(outsider)
 
 
 class TestAdmissibility:

@@ -7,6 +7,7 @@ import pytest
 from barjanet import (
     BarCode,
     DimensionError,
+    EmptyInputError,
     InputError,
     InternalInvariantError,
     PointSet,
@@ -25,6 +26,7 @@ from barjanet import (
     normal_form,
     parse_points,
     parse_rational,
+    parse_term_set,
     star_set,
 )
 import barjanet.points as points_module
@@ -83,6 +85,63 @@ class TestPointSet:
     def test_header_mismatch(self):
         with pytest.raises(DimensionError):
             parse_points("vars: 3\n1, 2\n")
+
+
+def _both_readers(layout):
+    """A layout whose {a} and {b} are two data lines, given to each reader:
+    the terms 1 and x1 to parse_term_set, the points 0 and 1 to parse_points."""
+    return (
+        lambda: parse_term_set(layout.format(a="1", b="x1")),
+        lambda: parse_points(layout.format(a="0", b="1")),
+    )
+
+
+class TestOneLayoutTwoReaders:
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "vars: 1 # a header with a comment\n{a}\n{b}\n",
+            "# comment\n\n   \n# another # comment\nvars: 1\n{a}\n\n{b}\n",
+            "vars: 1\r\n{a}\r\n# comment\r\n\r\n{b}\r\n",
+            "\r\n{a} # no header\r\n{b}",
+        ],
+    )
+    def test_same_layout_read_alike(self, layout):
+        read_terms, read_points = _both_readers(layout)
+        assert read_terms() == TermSet(1, [t(0), t(1)])
+        assert read_points() == PointSet([(F(0),), (F(1),)])
+
+    @pytest.mark.parametrize(
+        "layout, line",
+        [
+            ("# comment\nvars: 0\n{a}\n", 2),
+            ("vars: 1025 # one too many\r\n{a}\r\n", 1),
+            ("\n\nvars: " + "1" * 40 + "\n{a}\n{b}\n", 3),
+        ],
+    )
+    def test_bad_header_same_message_same_line(self, layout, line):
+        messages = set()
+        for read in _both_readers(layout):
+            with pytest.raises(TermSyntaxError, match=rf"vars must lie in 1\.\.{MAX_VARS}") as exc:
+                read()
+            assert exc.value.line == line
+            messages.add(str(exc.value))
+        assert messages == {f"vars must lie in 1..{MAX_VARS} (line {line})"}
+
+    def test_header_after_data_is_data(self):
+        # only the first line that holds more than a comment can be a header
+        for read in _both_readers("# comment\n{a}\nvars: 1\n{b}\n"):
+            with pytest.raises(TermSyntaxError) as exc:
+                read()
+            assert exc.value.line == 3
+
+    def test_comments_only(self):
+        # the one difference by design: an empty term set is a set, no points is not
+        layout = "# comment\n\n  # another\r\n"
+        read_terms, read_points = _both_readers(layout)
+        assert len(read_terms()) == 0
+        with pytest.raises(EmptyInputError, match="no points in input"):
+            read_points()
 
 
 class TestEvaluate:
