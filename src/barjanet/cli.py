@@ -54,7 +54,7 @@ EXIT_INPUT = 2
 EXIT_INCOMPLETE = 3
 EXIT_INTERNAL = 4
 
-MAX_BASIS_POINTS = 250  # basis is O(m^3) in the points; README gives timings
+MAX_BASIS_POINTS = 250  # O(m^3) operations on integers scaled per point; README gives timings
 _BOM = "\ufeff"  # the byte-order mark some editors write at the start of a file
 
 # every command and its help, in the order --help lists them

@@ -7,8 +7,10 @@ of combinatorial algorithms", Discrete Math. 1995; Felszeghy, Rath and Ronyai,
 "The lex game and some applications", J. Symbolic Comput. 2006). Its
 complement's minimal generators are completed Janet-like, and each completed
 generator t yields the basis element t minus its interpolant over the
-escalier, found by eliminating the escalier's evaluation vectors on integers.
-normal_form, over Fraction, is the reference the interpolants are tested against.
+escalier, found by eliminating the escalier's evaluation vectors on integers
+(Buchberger and Moeller, EUROCAM 1982), each point's column scaled by its own
+denominators; Fractions are made only for the basis coefficients. normal_form,
+over Fraction, is the reference the interpolants are tested against.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from math import gcd, lcm, prod
+from operator import attrgetter, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .barcode import BarCode, star_set
@@ -34,7 +37,7 @@ from .errors import (
 from .janet import complete
 from .terms import MAX_VARS, Term, TermSet, _file_lines, _unit_quotients, format_term
 
-Point = tuple[Fraction, ...]
+_rev = attrgetter("_rev")  # the lex order of terms of one ring, as a sort key
 
 
 class PointSet:
@@ -43,7 +46,7 @@ class PointSet:
     __slots__ = ("nvars", "points")
 
     def __init__(self, points: Iterable[Sequence[Fraction]]):
-        pts = [tuple(Fraction(c) for c in p) for p in points]
+        pts = [tuple(c if type(c) is Fraction else Fraction(c) for c in p) for p in points]
         if not pts:
             raise EmptyInputError("at least one point is required")
         nvars = len(pts[0])
@@ -72,16 +75,16 @@ class PointSet:
         return f"PointSet({len(self.points)} points in {self.nvars} vars)"
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def parse_rational(text: str) -> Fraction:
     """Exact rational literal: integer or p/q. Float syntax is rejected."""
     s = text.strip()
-    if not _RATIONAL.match(s):
+    if not (m := _RATIONAL.match(s)):
         raise TermSyntaxError(f"not an exact rational: {text!r}")
     try:
-        return Fraction(s)
+        return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise TermSyntaxError(f"zero denominator: {s}") from None
     except ValueError:
@@ -107,20 +110,14 @@ def parse_points(text: str) -> PointSet:
     if nvars is not None:
         for coords in rows:
             if len(coords) != nvars:
-                raise DimensionError(
-                    f"point of dimension {len(coords)} under header vars: {nvars}"
-                )
+                raise DimensionError(f"point of dimension {len(coords)} under header vars: {nvars}")
     return PointSet(rows)
 
 
-def eval_term(t: Term, point: Point) -> Fraction:
+def eval_term(t: Term, point: Sequence[Fraction]) -> Fraction:
     if len(point) != t.nvars:
         raise DimensionError("point dimension does not match the term")
-    value = Fraction(1)
-    for c, e in zip(point, t.exponents):
-        if e:
-            value *= Fraction(c) ** e
-    return value
+    return prod((Fraction(c) ** e for c, e in zip(point, t.exponents) if e), start=Fraction(1))
 
 
 class Polynomial:
@@ -132,9 +129,7 @@ class Polynomial:
         if nvars < 1:
             raise DimensionError("at least one variable is required")
         coeffs: dict[Term, Fraction] = {}
-        items = (
-            coefficients.items() if isinstance(coefficients, Mapping) else coefficients
-        )
+        items = coefficients.items() if isinstance(coefficients, Mapping) else coefficients
         for t, c in items:
             if t.nvars != nvars:
                 raise DimensionError(f"term {t} has {t.nvars} variables, expected {nvars}")
@@ -150,25 +145,20 @@ class Polynomial:
         return bool(self.coefficients)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.coefficients == other.coefficients
-        )
+        same = isinstance(other, Polynomial) and self.nvars == other.nvars
+        return same and self.coefficients == other.coefficients
 
     __hash__ = None
 
     def terms_desc(self) -> tuple[tuple[Term, Fraction], ...]:
-        return tuple(
-            (t, self.coefficients[t])
-            for t in sorted(self.coefficients, reverse=True)
-        )
+        coeffs = self.coefficients
+        return tuple((t, coeffs[t]) for t in sorted(coeffs, key=_rev, reverse=True))
 
     @property
     def leading_term(self) -> Term:
         if not self.coefficients:
             raise EmptyInputError("the zero polynomial has no leading term")
-        return max(self.coefficients)
+        return max(self.coefficients, key=_rev)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         pt = tuple(Fraction(c) for c in point)
@@ -189,18 +179,17 @@ def format_polynomial(f: Polynomial) -> str:
         return "0"
     pieces = []
     for t, c in f.terms_desc():
-        mag = abs(c)
+        p, q = c.numerator, c.denominator
+        mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
         if t.is_one:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = format_term(t)
         else:
             body = f"{mag}*{format_term(t)}"
-        if not pieces:
-            pieces.append(f"-{body}" if c < 0 else body)
-        else:
-            pieces.append(f"{'-' if c < 0 else '+'} {body}")
-    return " ".join(pieces)
+        pieces.append(f"{'-' if p < 0 else '+'} {body}")
+    text = " ".join(pieces)  # the leading sign is "-" or none, with no space
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def polynomial_to_json(f: Polynomial) -> dict:
@@ -256,9 +245,10 @@ def groebner_escalier(points: PointSet) -> TermSet:
     fibre's escalier in x2..xn is found the same way. The sorted points are
     the leaves; nodes merge bottom up, one branching level at a time, and a
     term is its nonzero (variable index, exponent) pairs until the end."""
-    # shared[j]: how many leading coordinates sorted points j and j + 1 agree on
-    pairs = pairwise(sorted(points))
-    shared = [next(i for i, c in enumerate(p) if c != q[i]) for p, q in pairs]
+    # shared[j]: how many leading coordinates sorted points j and j + 1 agree on;
+    # (numerator, denominator) keys keep equal prefixes together, as the rule needs
+    keys = sorted([(c.numerator, c.denominator) for c in p] for p in points)
+    shared = [next(i for i, c in enumerate(p) if c != q[i]) for p, q in pairwise(keys)]
     nodes = [(s, [()]) for s in [*shared, -1]]  # (shared with the next, escalier)
     for depth in sorted(set(shared), reverse=True):
         merged, counts = [], Counter()
@@ -277,60 +267,72 @@ def groebner_escalier(points: PointSet) -> TermSet:
 
 
 def escalier_scan(points: PointSet) -> tuple[TermSet, Callable[[Term], Polynomial]]:
-    """groebner_escalier (the fibre-count rule) and the map from a term to its
-    interpolant over it: Buchberger-Moeller on the escalier's vectors alone,
-    in increasing lex, each its parent's times a coordinate column and each
-    keeping a pivot. Column i is scaled by the lcm d_i of its denominators,
-    which keeps ranks: a term s then evaluates to d^s times its value. A
-    vector carries the combination of escalier vectors it equals (one entry
-    per row met, its own term's apart) and is reduced by v <- a*v - b*row; a
-    kept row is divided by its content. A term t reduced to 0, as k*t + sum
-    k_s*s = 0, has the coefficients -k_s*d^s / (k*d^t), the only Fractions."""
+    """groebner_escalier and the map from a term t to its interpolant over it.
+    A point's entry for t is its value times prod_i b_i^(E_i), b_i the point's
+    denominator in x_i and E_i one more than the escalier's largest x_i-exponent,
+    which keeps every relation among the rows: prod_i a_i^(t_i) * b_i^(E_i - t_i)
+    up to E, a_i the numerator, and also times the lcm L of the powers of b_i it
+    lacks past E. From own*t + sum k_s*s = 0 on the points, s has k_s / -own."""
+    escalier, relation = _relations(points)
+
+    def interpolant(t: Term) -> Polynomial:
+        pairs, own = relation(t)
+        return Polynomial(t.nvars, [(s, Fraction(k, -own)) for s, k in pairs])
+
+    return escalier, interpolant
+
+
+def _relations(points: PointSet) -> tuple[TermSet, Callable[[Term], tuple[list, int]]]:
+    """escalier_scan's elimination (Buchberger-Moeller) over the escalier in
+    increasing lex, a child's vector its parent's times a_i divided exactly by
+    b_i: t maps to the pairs (s, k_s), k_s nonzero, and own (times L). A vector
+    carries the combination of rows it equals (one entry per row met, its own
+    term's apart), is reduced by v <- a*v - b*row and, if kept, by its content."""
     escalier = groebner_escalier(points)
-    n = points.nvars
     m = len(points)
-    scales = [lcm(*(p[i].denominator for p in points)) for i in range(n)]
-    scaled = [tuple(int(c * d) for c, d in zip(p, scales)) for p in points]
-    kept = escalier.terms
+    box = [e + 1 for e in escalier.bounding_box()]
+    nums = [[c.numerator for c in p] for p in points]
+    dens = [[c.denominator for c in p] for p in points]
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
 
     def reduce(values: list[int]) -> tuple[list[int], int]:
         vec, own = [*values], 1
         for pivot, row in echelon:
             vec.append(0)
-            f = vec[pivot]
-            if f:
+            if f := vec[pivot]:
                 g = gcd(row[pivot], f)
                 a, b = row[pivot] // g, f // g
                 vec = [a * x - b * y for x, y in zip(vec, row)]
                 own *= a
         return vec, own
 
-    def interpolant(t: Term) -> Polynomial:
-        if t.nvars != n:
+    def relation(t: Term) -> tuple[list[tuple[Term, int]], int]:
+        if t.nvars != len(box):
             raise DimensionError("point dimension does not match the term")
         exps = t.exponents
-        vec, own = reduce([prod(c**e for c, e in zip(p, exps) if e) for p in scaled])
+        wide = list(map(max, exps, box))  # the box widened to hold t
+        lift, gaps = list(map(sub, wide, box)), list(map(sub, wide, exps))
+        lacks = [prod(map(pow, b, lift)) for b in dens]
+        scale = lcm(*lacks)  # L
+        vec, own = reduce([prod(map(pow, a, exps)) * prod(map(pow, b, gaps)) * (scale // lack)
+                           for a, b, lack in zip(nums, dens, lacks)])
         if any(vec[:m]):
             raise InternalInvariantError(f"{t} is independent of a full escalier")
-        denominator = -own * prod(d**e for d, e in zip(scales, exps) if e)
-        coefficients = (Fraction(k * w, denominator) for w, k in zip(weights, vec[m:]))
-        return Polynomial(n, zip(kept, coefficients))
+        return [(s, k) for s, k in zip(escalier, vec[m:]) if k], own * scale
 
-    vectors = {kept[0]: [1] * m}  # escalier term -> scaled evaluation vector
-    for s in kept:
-        if s not in vectors:
-            i = next(i for i, e in enumerate(s.exponents) if e)
-            parent = vectors[s / Term.variable(n, i + 1)]
-            vectors[s] = [a * p[i] for a, p in zip(parent, scaled)]
-        vec, own = reduce(vectors[s])
+    vectors = {escalier.terms[0].exponents: [prod(map(pow, b, box)) for b in dens]}
+    for s in escalier:
+        e = s.exponents
+        if e not in vectors:  # the parent is s / x_i, x_i its least variable
+            i, parent = next(i for i, x in enumerate(e) if x), vectors[next(_unit_quotients(e))]
+            vectors[e] = [v * a[i] // b[i] for v, a, b in zip(parent, nums, dens)]
+        vec, own = reduce(vectors[e])
         pivot = next((c for c in range(m) if vec[c]), None)
         if pivot is None:
             raise InternalInvariantError(f"escalier term {s} depends on those below it")
         g = gcd(*vec, own)
         echelon.append((pivot, [x // g for x in vec] + [own // g]))
-    weights = [prod(d**e for d, e in zip(scales, s.exponents) if e) for s in kept]
-    return escalier, interpolant
+    return escalier, relation
 
 
 def monomial_generators(ideal_complement: TermSet) -> TermSet:
@@ -353,9 +355,7 @@ def normal_form(f: Polynomial, basis: TermSet, points: PointSet) -> Polynomial:
     if f.nvars != basis.nvars or basis.nvars != points.nvars:
         raise DimensionError("polynomial, basis and points must share variables")
     if len(basis) != len(points):
-        raise DimensionError(
-            f"basis size {len(basis)} must match point count {len(points)}"
-        )
+        raise DimensionError(f"basis size {len(basis)} must match point count {len(points)}")
     system = RationalMatrix(tuple(tuple(eval_term(s, p) for s in basis) for p in points))
     values = [f.evaluate(p) for p in points]
     coeffs = system.solve(values)
@@ -371,18 +371,16 @@ def janet_like_basis(points: PointSet) -> tuple[Polynomial, ...]:
     and its tail is supported on the escalier. Each leading term t must be a
     star of the escalier N: t outside N, t/x_v in N for its least variable x_v.
     """
-    escalier, interpolant = escalier_scan(points)
+    escalier, relation = _relations(points)
     completed, _ = complete(monomial_generators(escalier))
     inside = {s.exponents for s in escalier}
     basis = []
     for t in completed.terms:
         if t.exponents in inside or next(_unit_quotients(t.exponents), None) not in inside:
             raise InternalInvariantError(f"{t} is not a star of the escalier")
-        tail = interpolant(t).coefficients.items()
-        g = Polynomial(points.nvars, [(t, 1), *((s, -c) for s, c in tail)])
+        pairs, own = relation(t)  # g = (own*t + sum k_s*s) / own
+        g = Polynomial(t.nvars, [(t, 1), *((s, Fraction(k, own)) for s, k in pairs)])
         if g.leading_term != t:
-            raise InternalInvariantError(
-                f"interpolant of {t} reaches outside the terms below it"
-            )
+            raise InternalInvariantError(f"interpolant of {t} reaches outside the terms below it")
         basis.append(g)
     return tuple(basis)

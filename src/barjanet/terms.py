@@ -398,7 +398,9 @@ def _file_lines(text: str) -> tuple[int | None, list[tuple[int, str]]]:
     """The layout of a term-set or points file: the n of a "vars: n" header on
     the first line that holds more than a comment, or None, and every other
     nonblank line as (line number, body), '#' comments cut and stripped."""
-    raws = text.splitlines()  # comments are cut only from a file that holds a "#"
+    # only \r\n, \r and \n end a line (str.splitlines also ends one at \f, U+2028...);
+    # comments are cut only from a file that holds a "#"
+    raws = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     raws = (raw.split("#", 1)[0] for raw in raws) if "#" in text else raws
     content = [(k, body) for k, raw in enumerate(raws, 1) if (body := raw.strip())]
     m = _VARS_HEADER.match(content[0][1]) if content else None

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from barjanet import (
     BarCode,
@@ -51,6 +53,22 @@ def t(*exps):
     return Term(exps)
 
 
+# literals the _RATIONAL pattern of parse_rational accepts: a sign, digits
+# (ASCII, often with leading zeros, or any Unicode decimal digits) and an
+# optional denominator, zero ones included
+DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=40),
+    st.text("000123456789", min_size=1, max_size=4),
+    st.text(st.characters(categories=["Nd"]), min_size=1, max_size=25),
+)
+RATIONAL_LITERALS = st.builds(
+    lambda sign, p, q: sign + p + ("" if q is None else "/" + q),
+    st.sampled_from(["", "+", "-"]),
+    DIGITS,
+    st.none() | DIGITS,
+)
+
+
 class TestPointSet:
     def test_duplicates_rejected(self):
         with pytest.raises(InputError):
@@ -75,6 +93,40 @@ class TestPointSet:
         with pytest.raises(TermSyntaxError):
             parse_rational(literal)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(RATIONAL_LITERALS)
+    @example("-0")
+    @example("0/7")
+    @example("6/4")
+    @example("-0006/0004")
+    @example("+1234567890123456789")
+    @example("-98765432109876543210/12345678901234567890")
+    @example("\u0663/\u0664")
+    def test_literal_equals_fraction(self, literal):
+        try:
+            expected = F(literal)
+        except ZeroDivisionError:
+            with pytest.raises(TermSyntaxError) as exc:
+                parse_rational(literal)
+            assert str(exc.value) == f"zero denominator: {literal}"
+        else:
+            got = parse_rational(literal)
+            assert type(got) is F and got == expected
+            assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+    @pytest.mark.parametrize(
+        "literal, message",
+        [
+            ("1/0", "zero denominator: 1/0"),
+            ("1.5", "not an exact rational: '1.5'"),
+            ("9" * 5000, "rational with too many digits"),
+        ],
+    )
+    def test_refused_literal_messages(self, literal, message):
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_rational(literal)
+        assert str(exc.value) == message
+
     def test_header_over_limit_rejected(self):
         with pytest.raises(TermSyntaxError):
             parse_points("vars: 1025\n1, 2\n")
@@ -85,6 +137,10 @@ class TestPointSet:
     def test_header_mismatch(self):
         with pytest.raises(DimensionError):
             parse_points("vars: 3\n1, 2\n")
+
+
+# the line breaks of str.splitlines that are not \r or \n
+NOT_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def _both_readers(layout):
@@ -134,6 +190,30 @@ class TestOneLayoutTwoReaders:
             with pytest.raises(TermSyntaxError) as exc:
                 read()
             assert exc.value.line == 3
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_only_cr_and_lf_end_a_line(self, char):
+        # at a line's end the character is stripped as blank, in a comment it
+        # is cut with it, and a later error has the file's own line number
+        layout = "vars: 1\r\n{a}" + char + "\n# a" + char + "b\r{b}\n"
+        read_terms, read_points = _both_readers(layout)
+        assert read_terms() == TermSet(1, [t(0), t(1)])
+        assert read_points() == PointSet([(F(0),), (F(1),)])
+        for read in _both_readers(layout + "bad\n"):
+            with pytest.raises(TermSyntaxError) as exc:
+                read()
+            assert exc.value.line == 5
+        # inside a data line it is part of that line, which is line 2
+        for read in _both_readers("vars: 1\n{a}" + char + "{b}\n"):
+            with pytest.raises(TermSyntaxError) as exc:
+                read()
+            assert exc.value.line == 2
+
+    def test_form_feed_in_a_point_line(self, tmp_path, capsys):
+        path = tmp_path / "form-feed.points"
+        path.write_text("vars: 2\n0,0\f1,1\nbad\n", encoding="utf-8")
+        assert main(["basis", str(path)]) == 1
+        assert capsys.readouterr().err == "error: not an exact rational: '0\\x0c1' (line 2)\n"
 
     def test_comments_only(self):
         # the one difference by design: an empty term set is a set, no points is not
@@ -569,6 +649,63 @@ def shared_coordinate_sets():
     return sets
 
 
+def own_denominator_sets():
+    """Seeded point sets of at most 10 points in which every point has its own
+    large denominators, with their ids: 30-digit numerators and denominators
+    in 1-3 variables, and one distinct prime near 10^4 per point as the
+    denominator of all its coordinates."""
+    rng = random.Random(4451)
+    primes = [q for q in range(9900, 10100) if all(q % d for d in range(2, 101))]
+    sets = []
+    for n, size in ((1, 6), (2, 10), (3, 8)):
+        digits = [rng.randrange(10**29, 10**30) for _ in range(2 * n * size)]
+        signs = [rng.choice((-1, 1)) for _ in range(n * size)]
+        coords = [F(s * p, q) for s, p, q in zip(signs, digits[::2], digits[1::2])]
+        points = {tuple(coords[k : k + n]) for k in range(0, n * size, n)}
+        sets.append(pytest.param(PointSet(sorted(points)), id=f"30 digits, {n} vars"))
+    for n in (1, 2, 3):
+        points = [tuple(F(rng.randint(-60, 60), q) for _ in range(n)) for q in rng.sample(primes, 10)]
+        sets.append(pytest.param(PointSet(points), id=f"a prime near 10^4 a point, {n} vars"))
+    return sets
+
+
+def terms_past_the_box(N):
+    """x_i^(E_i + 3) for each i, with E_i one more than N's largest
+    x_i-exponent; the corner x^E; and terms past E in some variables only."""
+    n, box = N.nvars, [e + 1 for e in N.bounding_box()]
+    terms = [Term.variable(n, i, box[i - 1] + 3) for i in range(1, n + 1)]
+    terms.append(Term(box))
+    terms.append(Term(e + 1 if i % 2 == 0 else e - 1 for i, e in enumerate(box)))
+    terms.append(Term(e + 2 if i == n - 1 else 1 for i, e in enumerate(box)))
+    return terms
+
+
+class TestPerPointScaling:
+    """escalier_scan scales each point's column by its own denominators: on
+    points of their own large denominators, and on terms past the box E that
+    scaling is sized for."""
+
+    @pytest.mark.parametrize("X", own_denominator_sets())
+    def test_equals_fraction_oracle(self, X):
+        assert_scan_equals_oracle(random.Random(4452), X, max_exp=6, oracle_nf=True)
+
+    @pytest.mark.parametrize("X", own_denominator_sets() + rescaling_edge_cases())
+    def test_terms_past_the_box_and_in_the_escalier(self, X):
+        N, interpolant = escalier_scan(X)
+        _, expected = escalier_scan_by_fractions(X)
+        for u in terms_past_the_box(N):
+            assert u not in N
+            got = interpolant(u)
+            assert got == expected(u)
+            assert got == normal_form(Polynomial(u.nvars, {u: 1}), N, X)
+        for u in N:
+            assert interpolant(u) == Polynomial(u.nvars, {u: 1})
+
+    @pytest.mark.parametrize("X", own_denominator_sets())
+    def test_involutive_certificate(self, X):
+        assert_involutive_certificate(random.Random(4453), X)
+
+
 class TestIntegerScan:
     """The integer escalier scan against the Fraction scan it replaced
     (escalier_scan_by_fractions in helpers) and the normal_form oracle."""
@@ -743,7 +880,7 @@ class TestTrieEscalier:
         def fail(*args):
             raise AssertionError("groebner_escalier entered the elimination")
 
-        for name in ("escalier_scan", "gcd", "lcm", "normal_form", "eval_term"):
+        for name in ("escalier_scan", "_relations", "gcd", "lcm", "normal_form", "eval_term"):
             monkeypatch.setattr(points_module, name, fail)
         rng = random.Random(7)
         draws = set()
