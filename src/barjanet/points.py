@@ -6,11 +6,11 @@ the trie of their coordinates by a fibre-count rule, with no arithmetic
 of combinatorial algorithms", Discrete Math. 1995; Felszeghy, Rath and Ronyai,
 "The lex game and some applications", J. Symbolic Comput. 2006). Its
 complement's minimal generators are completed Janet-like, and each completed
-generator t yields the basis element t minus its interpolant over the
-escalier, found by eliminating the escalier's evaluation vectors on integers
-(Buchberger and Moeller, EUROCAM 1982), each point's column scaled by its own
-denominators; Fractions are made only for the basis coefficients. normal_form,
-over Fraction, is the reference the interpolants are tested against.
+generator t, a star of the escalier, yields the basis element t minus its
+interpolant over the escalier, from one elimination of the escalier's vectors
+on integers scaled per point (Buchberger and Moeller, EUROCAM 1982); Fractions
+are made only for the basis coefficients. normal_form, over Fraction, is the
+reference the tails are tested against.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
-from math import gcd, lcm, prod
-from operator import attrgetter, sub
+from math import gcd, prod
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .barcode import BarCode, star_set
@@ -46,7 +46,7 @@ class PointSet:
     __slots__ = ("nvars", "points")
 
     def __init__(self, points: Iterable[Sequence[Fraction]]):
-        pts = [tuple(c if type(c) is Fraction else Fraction(c) for c in p) for p in points]
+        pts = [tuple(c if type(c) is Fraction else _exact(c) for c in p) for p in points]
         if not pts:
             raise EmptyInputError("at least one point is required")
         nvars = len(pts[0])
@@ -73,6 +73,12 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet({len(self.points)} points in {self.nvars} vars)"
+
+
+def _exact(c: int) -> Fraction:
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coordinates must be int or Fraction, got {c!r}")
+    return Fraction(c)
 
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -266,26 +272,13 @@ def groebner_escalier(points: PointSet) -> TermSet:
     return TermSet(n, (Term(dict(b).get(i, 0) for i in range(n)) for b in escalier))
 
 
-def escalier_scan(points: PointSet) -> tuple[TermSet, Callable[[Term], Polynomial]]:
-    """groebner_escalier and the map from a term t to its interpolant over it.
-    A point's entry for t is its value times prod_i b_i^(E_i), b_i the point's
-    denominator in x_i and E_i one more than the escalier's largest x_i-exponent,
-    which keeps every relation among the rows: prod_i a_i^(t_i) * b_i^(E_i - t_i)
-    up to E, a_i the numerator, and also times the lcm L of the powers of b_i it
-    lacks past E. From own*t + sum k_s*s = 0 on the points, s has k_s / -own."""
-    escalier, relation = _relations(points)
-
-    def interpolant(t: Term) -> Polynomial:
-        pairs, own = relation(t)
-        return Polynomial(t.nvars, [(s, Fraction(k, -own)) for s, k in pairs])
-
-    return escalier, interpolant
-
-
 def _relations(points: PointSet) -> tuple[TermSet, Callable[[Term], tuple[list, int]]]:
-    """escalier_scan's elimination (Buchberger-Moeller) over the escalier in
-    increasing lex, a child's vector its parent's times a_i divided exactly by
-    b_i: t maps to the pairs (s, k_s), k_s nonzero, and own (times L). A vector
+    """The escalier N and, for each star t of N, the relation own*t + sum k_s*s
+    = 0 on the points as (s, k_s) pairs, k_s nonzero, and own: one elimination
+    (Buchberger-Moeller) over N in increasing lex. A point's entry for x^e is its
+    value times prod_i b_i^(E_i), b_i its denominator in x_i and E_i one more
+    than N's largest x_i-exponent; so x^e's vector is its parent's (x^e over its
+    least variable x_i) times the numerator a_i divided exactly by b_i. A vector
     carries the combination of rows it equals (one entry per row met, its own
     term's apart), is reduced by v <- a*v - b*row and, if kept, by its content."""
     escalier = groebner_escalier(points)
@@ -293,7 +286,12 @@ def _relations(points: PointSet) -> tuple[TermSet, Callable[[Term], tuple[list, 
     box = [e + 1 for e in escalier.bounding_box()]
     nums = [[c.numerator for c in p] for p in points]
     dens = [[c.denominator for c in p] for p in points]
+    vectors = {escalier.terms[0].exponents: [prod(map(pow, b, box)) for b in dens]}  # N's
     echelon: list[tuple[int, list[int]]] = []  # (pivot column, row)
+
+    def grown(e: tuple[int, ...]) -> list[int]:
+        i, parent = next(i for i, x in enumerate(e) if x), vectors[next(_unit_quotients(e))]
+        return [v * a[i] // b[i] for v, a, b in zip(parent, nums, dens)]
 
     def reduce(values: list[int]) -> tuple[list[int], int]:
         vec, own = [*values], 1
@@ -307,25 +305,16 @@ def _relations(points: PointSet) -> tuple[TermSet, Callable[[Term], tuple[list, 
         return vec, own
 
     def relation(t: Term) -> tuple[list[tuple[Term, int]], int]:
-        if t.nvars != len(box):
-            raise DimensionError("point dimension does not match the term")
-        exps = t.exponents
-        wide = list(map(max, exps, box))  # the box widened to hold t
-        lift, gaps = list(map(sub, wide, box)), list(map(sub, wide, exps))
-        lacks = [prod(map(pow, b, lift)) for b in dens]
-        scale = lcm(*lacks)  # L
-        vec, own = reduce([prod(map(pow, a, exps)) * prod(map(pow, b, gaps)) * (scale // lack)
-                           for a, b, lack in zip(nums, dens, lacks)])
+        if (e := t.exponents) in vectors or next(_unit_quotients(e), None) not in vectors:
+            raise InternalInvariantError(f"{t} is not a star of the escalier")
+        vec, own = reduce(grown(e))
         if any(vec[:m]):
             raise InternalInvariantError(f"{t} is independent of a full escalier")
-        return [(s, k) for s, k in zip(escalier, vec[m:]) if k], own * scale
+        return [(s, k) for s, k in zip(escalier, vec[m:]) if k], own
 
-    vectors = {escalier.terms[0].exponents: [prod(map(pow, b, box)) for b in dens]}
     for s in escalier:
-        e = s.exponents
-        if e not in vectors:  # the parent is s / x_i, x_i its least variable
-            i, parent = next(i for i, x in enumerate(e) if x), vectors[next(_unit_quotients(e))]
-            vectors[e] = [v * a[i] // b[i] for v, a, b in zip(parent, nums, dens)]
+        if (e := s.exponents) not in vectors:
+            vectors[e] = grown(e)
         vec, own = reduce(vectors[e])
         pivot = next((c for c in range(m) if vec[c]), None)
         if pivot is None:
@@ -365,19 +354,15 @@ def normal_form(f: Polynomial, basis: TermSet, points: PointSet) -> Polynomial:
 def janet_like_basis(points: PointSet) -> tuple[Polynomial, ...]:
     """Reduced Janet-like basis of the vanishing ideal of the points.
 
-    The completed minimal generators of the escalier's complement are the
-    leading terms; each basis element is its leading term minus the
-    interpolant of that term over the escalier, so it vanishes on all points
-    and its tail is supported on the escalier. Each leading term t must be a
-    star of the escalier N: t outside N, t/x_v in N for its least variable x_v.
+    The completed minimal generators of the complement of the escalier N are the
+    leading terms, each a star of N (outside N, inside once divided by its least
+    variable); each basis element is its leading term minus its interpolant
+    over N, so it vanishes on all points and its tail is supported on N.
     """
     escalier, relation = _relations(points)
     completed, _ = complete(monomial_generators(escalier))
-    inside = {s.exponents for s in escalier}
     basis = []
     for t in completed.terms:
-        if t.exponents in inside or next(_unit_quotients(t.exponents), None) not in inside:
-            raise InternalInvariantError(f"{t} is not a star of the escalier")
         pairs, own = relation(t)  # g = (own*t + sum k_s*s) / own
         g = Polynomial(t.nvars, [(t, 1), *((s, Fraction(k, own)) for s, k in pairs)])
         if g.leading_term != t:

@@ -282,14 +282,15 @@ def corners_by_definition(
     return out
 
 
-# Ideals of points (fast path: escalier_scan and janet_like_basis)
+# Ideals of points (fast path: janet_like_basis, whose scan relates only stars)
 
 
 def escalier_scan_by_fractions(points: PointSet):
     """Reference escalier scan over Fraction: the lex escalier of the
     vanishing ideal of the points and the map from a term to its interpolant
-    (Buchberger-Moeller). The integer scan of barjanet.points must give the
-    same escalier and equal interpolants.
+    (Buchberger-Moeller), for any term. janet_like_basis, whose integer scan
+    relates only the stars of the escalier, must give the same escalier and
+    the same tail for each leading term.
 
     Terms are visited in increasing lex along the divisor-closed frontier; a
     term is kept exactly when its evaluation vector is independent of those

@@ -33,7 +33,7 @@ from barjanet import (
 )
 import barjanet.points as points_module
 from barjanet.cli import main
-from barjanet.points import escalier_scan, eval_term
+from barjanet.points import _relations, eval_term
 from barjanet.terms import MAX_VARS
 from helpers import (
     random_point_set,
@@ -77,6 +77,17 @@ class TestPointSet:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             PointSet([(F(1),), (F(1), F(2))])
+
+    @pytest.mark.parametrize("value", [True, False, 0.1, 0.5, "1.5", "1", None, 1j])
+    def test_coordinate_neither_int_nor_fraction_refused(self, value):
+        with pytest.raises(TypeError) as exc:
+            PointSet([(F(1), F(2)), (F(3), value)])
+        assert str(exc.value) == f"coordinates must be int or Fraction, got {value!r}"
+
+    def test_int_and_fraction_coordinates_accepted(self):
+        X = PointSet([(0, F(1, 2)), (F(-3), 4), (10**40, F(7, 10**30))])
+        assert X.points == ((F(0), F(1, 2)), (F(-3), F(4)), (F(10**40), F(7, 10**30)))
+        assert all(type(c) is F for p in X for c in p)
 
     def test_parse(self):
         ps = parse_points("vars: 2\n# a comment\n0, 1/2\n-3, 4\n")
@@ -535,8 +546,8 @@ def interpolation_point_sets(rng):
 
 
 class TestEscalierInterpolation:
-    """The interpolants of the escalier scan against the solve-based
-    normal_form oracle."""
+    """The basis tails, and the interpolants of the Fraction scan
+    escalier_scan_by_fractions, against the solve-based normal_form oracle."""
 
     def test_basis_tails_equal_normal_forms(self):
         rng = random.Random(4401)
@@ -549,7 +560,7 @@ class TestEscalierInterpolation:
     def test_random_terms_equal_normal_forms(self):
         rng = random.Random(4402)
         for X in interpolation_point_sets(rng):
-            N, interpolant = escalier_scan(X)
+            N, interpolant = escalier_scan_by_fractions(X)
             assert N == groebner_escalier(X)
             outside = {random_term(rng, X.nvars, 4) for _ in range(8)} - set(N)
             for u in outside:
@@ -558,22 +569,45 @@ class TestEscalierInterpolation:
                 assert interpolant(u) == Polynomial(u.nvars, {u: 1})
 
 
+def related(relation, u):
+    """u's interpolant from the relation own*u + sum k_s*s = 0 of _relations."""
+    pairs, own = relation(u)
+    return Polynomial(u.nvars, [(s, F(k, -own)) for s, k in pairs])
+
+
+def assert_relation_keeps_to_stars(relation, N, terms, expected, X=None):
+    """relation refuses each of the terms that is not a star of N, with the
+    line basis exits 4 with, and relates each star as expected does (and,
+    given the points X, as normal_form does)."""
+    stars = set(star_set(BarCode.build(N)))
+    for u in terms:
+        if u not in stars:
+            with pytest.raises(InternalInvariantError) as exc:
+                relation(u)
+            assert str(exc.value) == f"{u} is not a star of the escalier"
+            continue
+        got = related(relation, u)
+        assert got == expected(u)
+        if X is not None:
+            assert got == normal_form(Polynomial(u.nvars, {u: 1}), N, X)
+
+
 def assert_scan_equals_oracle(rng, X, max_exp=4, outside=8, oracle_nf=False):
-    """Same escalier as the Fraction scan, and equal interpolants for every
-    escalier term and for random terms outside it; with oracle_nf also equal
-    to normal_form on those outside terms."""
-    N, interpolant = escalier_scan(X)
+    """The same escalier and basis as over the Fraction scan, each tail the
+    normal_form of its leading term; and, on every escalier term and random
+    terms outside it, relation keeps to the stars (with oracle_nf also
+    checked against normal_form)."""
+    N, relation = _relations(X)
     expected_N, expected = escalier_scan_by_fractions(X)
     assert N == expected_N
     assert N.terms == expected_N.terms
-    for u in N:
-        assert interpolant(u) == expected(u) == Polynomial(u.nvars, {u: 1})
+    basis = janet_like_basis(X)
+    assert list(basis) == janet_like_basis_by_fractions(X)[1]
+    for g in basis:
+        lead = Polynomial(g.nvars, {g.leading_term: 1})
+        assert g == combination((1, lead), (-1, normal_form(lead, N, X)))
     others = {random_term(rng, X.nvars, max_exp) for _ in range(outside)} - set(N)
-    for u in others:
-        got = interpolant(u)
-        assert got == expected(u)
-        if oracle_nf:
-            assert got == normal_form(Polynomial(u.nvars, {u: 1}), N, X)
+    assert_relation_keeps_to_stars(relation, N, [*N, *others], expected, X if oracle_nf else None)
 
 
 PRIMES_NEAR_10K = (9949, 9967, 9973, 10007, 10009, 10037)
@@ -681,9 +715,9 @@ def terms_past_the_box(N):
 
 
 class TestPerPointScaling:
-    """escalier_scan scales each point's column by its own denominators: on
+    """_relations scales each point's column by its own denominators: on
     points of their own large denominators, and on terms past the box E that
-    scaling is sized for."""
+    scaling is sized for, none of them a star but x1^E in one variable."""
 
     @pytest.mark.parametrize("X", own_denominator_sets())
     def test_equals_fraction_oracle(self, X):
@@ -691,15 +725,11 @@ class TestPerPointScaling:
 
     @pytest.mark.parametrize("X", own_denominator_sets() + rescaling_edge_cases())
     def test_terms_past_the_box_and_in_the_escalier(self, X):
-        N, interpolant = escalier_scan(X)
+        N, relation = _relations(X)
         _, expected = escalier_scan_by_fractions(X)
-        for u in terms_past_the_box(N):
-            assert u not in N
-            got = interpolant(u)
-            assert got == expected(u)
-            assert got == normal_form(Polynomial(u.nvars, {u: 1}), N, X)
-        for u in N:
-            assert interpolant(u) == Polynomial(u.nvars, {u: 1})
+        past = terms_past_the_box(N)
+        assert not set(past) & set(N)
+        assert_relation_keeps_to_stars(relation, N, [*past, *N], expected, X)
 
     @pytest.mark.parametrize("X", own_denominator_sets())
     def test_involutive_certificate(self, X):
@@ -707,8 +737,9 @@ class TestPerPointScaling:
 
 
 class TestIntegerScan:
-    """The integer escalier scan against the Fraction scan it replaced
-    (escalier_scan_by_fractions in helpers) and the normal_form oracle."""
+    """The integer scan of janet_like_basis against the Fraction scan it
+    replaced (escalier_scan_by_fractions in oracles) and the normal_form
+    oracle."""
 
     def test_equals_fraction_oracle(self):
         rng = random.Random(4403)
@@ -726,11 +757,6 @@ class TestIntegerScan:
             X = random_point_set(rng, max_points=25, max_vars=1, coord_bound=20)
             assert_scan_equals_oracle(rng, X, max_exp=30)
 
-    def test_interpolant_checks_dimension(self):
-        _, interpolant = escalier_scan(PointSet([(F(1), F(2, 3))]))
-        with pytest.raises(DimensionError):
-            interpolant(t(1))
-
     def test_non_nested_fibres(self):
         rng = random.Random(4414)
         for X in non_nested_fibre_sets():
@@ -746,23 +772,16 @@ class TestIntegerScan:
         rng = random.Random(4413)
         max_exp = 40 if X.nvars == 1 else 5
         assert_scan_equals_oracle(rng, X, max_exp=max_exp, oracle_nf=True)
-        N = groebner_escalier(X)
-        expected_N, expected_basis = janet_like_basis_by_fractions(X)
-        assert N == expected_N
-        basis = janet_like_basis(X)
-        assert list(basis) == expected_basis
-        for g in basis:
-            lead = Polynomial(g.nvars, {g.leading_term: 1})
-            assert g == combination((1, lead), (-1, normal_form(lead, N, X)))
 
 
 def assert_involutive_certificate(rng, X):
     """janet_like_basis(X) through the division it is named for: x_i^(k_i)*g
     reduces to 0 for every basis element g and nonmultiplicative power of its
     leading term; every step finds one divisor; and random terms in a box
-    around the escalier reduce to their interpolants, on the escalier."""
+    around the escalier reduce to their interpolants, on the escalier (by the
+    Fraction scan escalier_scan_by_fractions)."""
     basis = janet_like_basis(X)
-    N, interpolant = escalier_scan(X)
+    N, interpolant = escalier_scan_by_fractions(X)
     n = X.nvars
     leads = TermSet(n, [g.leading_term for g in basis])
     table = nmp_table_bruteforce(leads)
@@ -880,7 +899,7 @@ class TestTrieEscalier:
         def fail(*args):
             raise AssertionError("groebner_escalier entered the elimination")
 
-        for name in ("escalier_scan", "_relations", "gcd", "lcm", "normal_form", "eval_term"):
+        for name in ("_relations", "gcd", "normal_form", "eval_term"):
             monkeypatch.setattr(points_module, name, fail)
         rng = random.Random(7)
         draws = set()
@@ -901,11 +920,21 @@ class TestTrieEscalier:
         n = MAX_VARS
         rng = random.Random(4424)
         X = PointSet([tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(3)])
-        N, interpolant = escalier_scan(X)
+        N, relation = _relations(X)
         assert N.terms == escalier_scan_by_fractions(X)[0].terms
-        outside = [Term.variable(n, 1, 3), Term.variable(n, 2), Term.variable(n, n)]
-        for u in outside:
-            assert interpolant(u) == normal_form(Polynomial(u.nvars, {u: 1}), N, X)
+        # every minimal generator's relation vanishes on the points, and three
+        # of them give normal_form's interpolant
+        values = {s: [eval_term(s, p) for p in X] for s in N}
+        generators = monomial_generators(N)
+        assert len(generators) >= n
+        for u in generators:
+            pairs, own = relation(u)
+            for j, p in enumerate(X):
+                assert own * eval_term(u, p) + sum(k * values[s][j] for s, k in pairs) == 0
+        some = [Term.variable(n, 1, 3), Term.variable(n, 2), Term.variable(n, n)]
+        assert set(some) <= set(generators)
+        for u in some:
+            assert related(relation, u) == normal_form(Polynomial(n, {u: 1}), N, X)
 
 
 class TestFormatting:
